@@ -9,7 +9,6 @@ input files.
 from __future__ import annotations
 
 import csv
-import os
 
 import numpy as np
 
@@ -159,9 +158,3 @@ def metrics_equal_excluding_time(path_a: str, path_b: str) -> bool:
         return [row[:-1] for row in rows]
     return strip(path_a) == strip(path_b)
 
-
-def list_run_metrics(out_dir: str) -> str:
-    path = os.path.join(out_dir, "metrics.csv")
-    if not os.path.exists(path):
-        raise DataError(f"no metrics.csv under {out_dir}")
-    return path

@@ -76,9 +76,8 @@ def preactivation(w, z, a, b, model: NoiseModel, stream: RngStream,
         xi = sample_noise(model, zb.shape, stream)
         u = (xi * zb) @ w.T + a * (zb @ w.T)
     elif site == SITE_SYNAPSE:
-        xi = sample_noise(model, (zb.shape[0], w.shape[0], w.shape[1]), stream)
-        xi_eff = xi + (a if a.ndim == 0 else a[:, None])
-        u = np.einsum("boi,oi,bi->bo", xi_eff, w, zb)
+        from .layers import synapse_noise_sum  # layers imports this module
+        u = a * (zb @ w.T) + synapse_noise_sum(w, zb, model, stream)
     else:
         raise ShapeError(f"unknown noise site {site!r}")
     u = u + b

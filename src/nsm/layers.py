@@ -69,6 +69,33 @@ def _concrete_relax(x: np.ndarray, stream: RngStream):
     return 2.0 * relaxed - 1.0, r
 
 
+# Synapse-site noise is drawn in batch chunks of about this many bytes, so
+# memory is bounded by the chunk rather than by B * out * in.
+_SYNAPSE_CHUNK_BYTES = 2 << 20
+
+
+def _synapse_chunk_rows(w: np.ndarray) -> int:
+    return max(1, _SYNAPSE_CHUNK_BYTES // (8 * w.size))
+
+
+def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
+                      stream: RngStream) -> np.ndarray:
+    """sum_j xi_bij w_ij z_bj for z (B, in): the noisy part of a synapse-site u.
+
+    One generator feeds every batch chunk in order, so xi holds exactly the
+    values of sample_noise(model, (B,) + w.shape, stream) in one draw.
+    """
+    gen = stream.generator()
+    rows = _synapse_chunk_rows(w)
+    total = np.empty((z.shape[0], w.shape[0]))
+    for lo in range(0, z.shape[0], rows):
+        zc = z[lo:lo + rows]
+        xi = sample_noise(model, (zc.shape[0],) + w.shape, gen)
+        xi *= w
+        total[lo:lo + rows] = (xi @ zc[:, :, None])[..., 0]
+    return total
+
+
 class NsmDense:
     """Fully connected stochastic binary layer.
 
@@ -120,25 +147,25 @@ class NsmDense:
             x, t, norms = self._normalized_argument(z)
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
-            return out, {"z": z, "x": x, "norms": norms, "stat": x}
+            return out, {"z": z, "x": x, "t": t, "norms": norms, "stat": x}
         if mode == MODE_SAMPLE:
             norms = _row_norms(self.w)
+            s = z @ self.w.T
             b_raw = self.bias * self.model.scale * norms
-            a = self.a
             if self.site == "neuron":
                 xi = sample_noise(self.model, z.shape, stream)
-                u = (xi * z) @ self.w.T + a * (z @ self.w.T) + b_raw
+                u = (xi * z) @ self.w.T + self.a * s + b_raw
             elif self.site == "synapse":
-                xi = sample_noise(self.model, (z.shape[0],) + self.w.shape, stream)
-                u = np.einsum("boi,oi,bi->bo", xi + a[:, None], self.w, z) + b_raw
+                u = self.a * s + b_raw + synapse_noise_sum(self.w, z, self.model, stream)
             else:
                 raise ConfigError(f"unknown noise site {self.site!r}")
-            x = self.beta * ((z @ self.w.T) / norms) + self.bias
-            return sign_activation(u), {"z": z, "x": x, "norms": norms, "stat": x}
+            t = s / norms
+            x = self.beta * t + self.bias
+            return sign_activation(u), {"z": z, "x": x, "t": t, "norms": norms, "stat": x}
         if mode == MODE_CONCRETE:
             x, t, norms = self._normalized_argument(z)
             out, r = _concrete_relax(x, stream)
-            return out, {"z": z, "x": x, "norms": norms, "stat": x, "relax": r}
+            return out, {"z": z, "x": x, "t": t, "norms": norms, "stat": x, "relax": r}
         raise ConfigError(f"unknown forward mode {mode!r}")
 
     def backward(self, cache, upstream):
@@ -146,8 +173,7 @@ class NsmDense:
         if "relax" in cache:
             upstream = upstream * cache["relax"]
         s = upstream * erf_slope(cache["x"])
-        z, norms = cache["z"], cache["norms"]
-        t = (z @ self.w.T) / norms
+        z, t, norms = cache["z"], cache["t"], cache["norms"]
         dv = s.T @ z
         d_beta = np.sum(s * t, axis=0)
         d_bias = np.sum(s, axis=0)
@@ -498,36 +524,6 @@ class SigmoidDetConv:
         dz = col2im(dpatches, cache["in_shape"], self.w.shape[2], self.w.shape[3],
                     self.stride, self.pad, cache["grid"])
         return {"w": dw, "bias": d_bias}, dz
-
-
-# functional spellings of the layer forwards, for callers that prefer
-# free functions over methods
-
-def dense_forward_sample(layer: NsmDense, z_in, stream: RngStream):
-    """(binary output, cache) of one sampled dense forward."""
-    return layer.forward(np.asarray(z_in, dtype=np.float64), MODE_SAMPLE, stream)
-
-
-def dense_forward_probability(layer: NsmDense, z_in) -> np.ndarray:
-    """Closed-form P(+1) per unit; deterministic given (parameters, input)."""
-    x, _, _ = layer._normalized_argument(np.asarray(z_in, dtype=np.float64))
-    return erf_probability(x)
-
-
-def conv_forward(layer: NsmConv, z_in, stream: RngStream):
-    """(binary feature maps, cache) of one sampled conv forward."""
-    return layer.forward(np.asarray(z_in, dtype=np.float64), MODE_SAMPLE, stream)
-
-
-def baseline_forward(layer: BaselineDense, z_in, stream: RngStream | None = None):
-    """(output, cache) of one baseline-layer forward (sampled where stochastic)."""
-    return layer.forward(np.asarray(z_in, dtype=np.float64), MODE_SAMPLE, stream)
-
-
-def max_pool_2x2(x: np.ndarray) -> np.ndarray:
-    """2x2/stride-2 max pooling of (B, C, H, W); odd edges truncated."""
-    out, _ = MaxPool2("pool").forward(x, MODE_SAMPLE, None)
-    return out
 
 
 class MaxPool2:

@@ -20,11 +20,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_head(logits: np.ndarray) -> np.ndarray:
-    """Class probabilities from readout logits (shift-stable softmax)."""
-    return softmax(logits)
-
-
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood; probabilities clamped to [1e-7, 1-1e-7]."""
     p = np.clip(probs, 1e-7, 1.0 - 1e-7)

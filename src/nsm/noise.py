@@ -9,6 +9,7 @@ probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +87,31 @@ def a_from_beta(model: NoiseModel, beta) -> np.ndarray:
     return np.asarray(beta, dtype=np.float64) * model.scale - model.mean
 
 
-def sample_noise(model: NoiseModel, shape, stream: RngStream) -> np.ndarray:
+def sample_noise(model: NoiseModel, shape,
+                 source: RngStream | np.random.Generator) -> np.ndarray:
     """Draw the multiplicative noise xi with the given shape.
 
     Gaussian: 1 + sqrt(sigma^2) * N(0, 1). Bernoulli: {0.0, 1.0} at rate p.
-    Zero-variance models are fine here (they return constants); only the
-    closed-form probability path rejects them.
+    source is a stream (a fresh generator at its start) or an open
+    generator; draws from one generator follow each other in C order, so a
+    shape drawn in pieces along its first axis gets exactly the values of
+    one draw of the whole. Zero-variance models are fine here (they return
+    constants); only the closed-form probability path rejects them.
     """
-    gen = stream.generator()
+    gen = source.generator() if isinstance(source, RngStream) else source
     if model.kind == GAUSSIAN:
         if model.param == 0.0:
             return np.ones(shape, dtype=np.float64)
         return 1.0 + np.sqrt(model.param) * gen.standard_normal(shape)
-    return (gen.random(shape) < model.param).astype(np.float64)
+    # the mask of gen.random(shape) < p, decided on the raw words random()
+    # is made from: random() = (word >> 11) 2^-53 < p exactly when
+    # word < ceil(p 2^53) << 11. At p = 1 that bound is 2^64, out of range,
+    # so the words are drawn only to advance the stream.
+    if model.param == 1.0:
+        gen.bit_generator.random_raw(int(np.prod(shape)), output=False)
+        return np.ones(shape, dtype=np.float64)
+    bound = np.uint64(math.ceil(model.param * 2.0 ** 53) << 11)
+    return (gen.bit_generator.random_raw(shape) < bound).astype(np.float64)
 
 
 def sample_additive(model: NoiseModel, shape, stream: RngStream) -> np.ndarray:

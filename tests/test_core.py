@@ -169,6 +169,56 @@ class TestSampleNoise:
         np.testing.assert_allclose(eta.var(), 0.04, atol=2e-3)
 
 
+RATES = [0.0, 1e-300, 0.1, 0.5, 0.7, 1.0 - 2.0 ** -53, 1.0]
+
+
+class _Words:
+    """Stand-in generator whose bit generator hands out fixed raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, size, output=True):
+        return self.words.reshape(size) if output else None
+
+
+class TestExactDraws:
+    """Bernoulli masks are gen.random(shape) < p, and chunking keeps every draw."""
+
+    @pytest.mark.parametrize("p", RATES)
+    def test_bernoulli_mask_is_uniform_threshold(self, p):
+        stream = RngStream(5).child(NS_NOISE, 3)
+        got = sample_noise(NoiseModel.bernoulli(p), (40, 50), stream)
+        want = (stream.generator().random((40, 50)) < p).astype(np.float64)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", RATES)
+    def test_bernoulli_mask_at_the_threshold_words(self, p):
+        # random() is (word >> 11) 2^-53: probe the words on both sides of
+        # where that crosses p, and the two ends of the word range
+        edge = int(np.ceil(p * 2.0 ** 53)) << 11
+        cand = [0, 2047, 2048, edge - 2049, edge - 2048, edge - 1, edge, edge + 2047,
+                edge + 2048, 2 ** 64 - 1]
+        words = np.array([w for w in cand if 0 <= w < 2 ** 64], dtype=np.uint64)
+        got = sample_noise(NoiseModel.bernoulli(p), words.shape, _Words(words))
+        want = ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 < p)
+        np.testing.assert_array_equal(got, want.astype(np.float64))
+
+    @pytest.mark.parametrize("model", [NoiseModel.bernoulli(0.3), NoiseModel.bernoulli(1.0),
+                                       NoiseModel.gaussian(0.5)],
+                             ids=["bernoulli", "bernoulli-1", "gaussian"])
+    def test_chunked_draws_equal_one_draw(self, model):
+        stream = RngStream(6).child(NS_NOISE, 4)
+        one = stream.generator()
+        whole = sample_noise(model, (7, 5, 3), one)
+        gen = stream.generator()
+        parts = [sample_noise(model, (n, 5, 3), gen) for n in (1, 4, 2)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        # both generators stand at the same place afterwards
+        np.testing.assert_array_equal(gen.random(8), one.random(8))
+
+
 class TestPreactivation:
 
     def test_zero_variance_noise_reduces_to_linear(self):

@@ -2,18 +2,21 @@
 against a direct per-pixel loop, pooling, and the comparison estimators.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from nsm.autodiff import fd_against
-from nsm.core import activation_probability, erf_probability, sign_activation
+from nsm.core import (activation_probability, erf_probability, preactivation,
+                      sign_activation)
 from nsm.errors import ConfigError, ShapeError
 from nsm.layers import (MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, AffineHead,
                         BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
                         NormalizedHead, NsmConv, NsmDense, SigmoidDetConv,
-                        _logit, col2im, im2col)
-from nsm.noise import NoiseModel, beta_from_noise
+                        _logit, _synapse_chunk_rows, col2im, im2col)
+from nsm.noise import NoiseModel, beta_from_noise, sample_noise
 from nsm.rng import NS_NOISE, RngStream
 
 
@@ -98,6 +101,51 @@ class TestNsmDenseForward:
         b, _ = layer.forward(z, MODE_SAMPLE, s)
         np.testing.assert_array_equal(a, b)
         assert set(np.unique(a)) <= {-1.0, 1.0}
+
+
+class TestSynapseChunks:
+    """The chunked synapse-site sum against one full (B, out, in) noise tensor."""
+
+    @staticmethod
+    def layer(shape, model, seed=21):
+        rng = np.random.default_rng(seed)
+        out, fan = shape
+        w = rng.normal(size=shape) * np.sqrt(2.0 / (out + fan))
+        return NsmDense("syn", w, model, a=0.1 * rng.normal(size=out),
+                        bias=0.1 * rng.normal(size=out), site="synapse")
+
+    @pytest.mark.parametrize("model", [NoiseModel.bernoulli(0.5), NoiseModel.gaussian(0.3)],
+                             ids=["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("shape", [(300, 784), (30, 40)])
+    def test_forward_matches_full_tensor(self, shape, model):
+        layer = self.layer(shape, model)
+        rows = _synapse_chunk_rows(layer.w)
+        assert (rows == 1) == (shape == (300, 784))
+        norms = np.sqrt(np.sum(layer.w * layer.w, axis=1))
+        b_raw = layer.bias * model.scale * norms
+        rng = np.random.default_rng(22)
+        for b in sorted({1, rows - 1, rows + 1, 37} - {0}):
+            z = rng.choice([-1.0, 1.0], size=(b, shape[1]))
+            stream = RngStream(8).child(NS_NOISE, b)
+            xi = sample_noise(model, (b,) + shape, stream)
+            want = np.einsum("boi,oi,bi->bo", xi + layer.a[:, None], layer.w, z) + b_raw
+            del xi
+            got, _ = layer.forward(z, MODE_SAMPLE, stream)
+            np.testing.assert_array_equal(got, sign_activation(want))
+            u = preactivation(layer.w, z, layer.a, b_raw, model, stream, site="synapse")
+            np.testing.assert_allclose(u, want, rtol=0.0, atol=1e-12)
+
+    def test_forward_memory_is_bounded_by_the_chunk(self):
+        layer = self.layer((300, 784), NoiseModel.bernoulli(0.5))
+        z = np.random.default_rng(23).choice([-1.0, 1.0], size=(64, 784))
+        tracemalloc.start()
+        try:
+            layer.forward(z, MODE_SAMPLE, RngStream(9).child(NS_NOISE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full noise tensor alone would be 64 * 300 * 784 * 8 B = 115 MiB
+        assert peak < 16 * 2 ** 20
 
 
 class TestBinaryConcrete:
