@@ -130,8 +130,7 @@ def check_scale_invariance(seed: int = 13, tol: float = 1e-12) -> CheckResult:
                         NoiseModel.bernoulli(0.5), seed=seed)
     gen = RngStream(seed).child(1).generator()
     x = np.where(gen.random((8, 16)) < 0.5, 1.0, -1.0)
-    base, _ = net.forward(x, MODE_MEAN)
-    base_p = softmax(base)
+    base_p = softmax(net.predict(x, MODE_MEAN))
     worst = 0.0
     for alpha in (0.1, 3.0, 17.0):
         scaled = build_network(parse_preset("mlp-16-12-5"), "nsm",
@@ -139,8 +138,8 @@ def check_scale_invariance(seed: int = 13, tol: float = 1e-12) -> CheckResult:
         for layer in scaled.layers:
             if "w" in layer.params():
                 layer.params()["w"][...] *= alpha
-        logits, _ = scaled.forward(x, MODE_MEAN)
-        worst = max(worst, float(np.max(np.abs(softmax(logits) - base_p))))
+        probs = softmax(scaled.predict(x, MODE_MEAN))
+        worst = max(worst, float(np.max(np.abs(probs - base_p))))
     return CheckResult("scale-invariance", worst <= tol, worst, tol,
                        "max softmax drift under w -> alpha w, alpha in {0.1, 3, 17}")
 

@@ -377,18 +377,27 @@ def im2col(z: np.ndarray, kh: int, kw: int, stride: int, pad: int):
 
 def col2im(dpatches: np.ndarray, in_shape, kh: int, kw: int, stride: int, pad: int,
            grid) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch gradients back onto the image."""
+    """Adjoint of im2col: scatter-add patch gradients back onto the image.
+
+    Accumulates channels-last, so each kernel offset adds one (B, oh, ow, C)
+    slice of the patch gradients without a transposed copy.
+    """
     b, c, h, w = in_shape
     oh, ow = grid
-    dz = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    dz = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
     dp = dpatches.reshape(b, oh, ow, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            dz[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
-                dp[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            dz[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += dp[..., i, j]
+    dz = dz.transpose(0, 3, 1, 2)
     if pad:
         dz = dz[:, :, pad:-pad, pad:-pad]
     return dz
+
+
+def _kernel_grad(s: np.ndarray, patches: np.ndarray) -> np.ndarray:
+    """sum over batch and positions of s (B, P, K) times patches (B, P, D), as one GEMM."""
+    return s.reshape(-1, s.shape[-1]).T @ patches.reshape(-1, patches.shape[-1])
 
 
 class NsmConv:
@@ -439,10 +448,11 @@ class NsmConv:
         kh, kw = self.w.shape[2], self.w.shape[3]
         wf, norms = self._wflat()
         patches, grid = im2col(z, kh, kw, self.stride, self.pad)
-        t = (patches @ wf.T) / norms                      # (B, P, K)
+        s = patches @ wf.T                                # (B, P, K)
+        t = s / norms
         x = self.beta * t + self.bias
         cache = {"in_shape": z.shape, "patches": patches, "grid": grid,
-                 "x": x, "norms": norms, "stat": x}
+                 "x": x, "t": t, "norms": norms, "stat": x}
         if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
@@ -451,7 +461,7 @@ class NsmConv:
             xi = sample_noise(self.model, z.shape, stream)
             noisy, _ = im2col(xi * z, kh, kw, self.stride, self.pad)
             b_raw = self.bias * self.model.scale * norms
-            u = noisy @ wf.T + self.a * (patches @ wf.T) + b_raw
+            u = noisy @ wf.T + self.a * s + b_raw
             return self._to_maps(sign_activation(u), grid), cache
         if mode == MODE_CONCRETE:
             out, r = _concrete_relax(x, stream)
@@ -471,10 +481,9 @@ class NsmConv:
         if "relax" in cache:
             s_flat = s_flat * cache["relax"]
         s = s_flat * erf_slope(cache["x"])
-        patches, norms = cache["patches"], cache["norms"]
+        patches, t, norms = cache["patches"], cache["t"], cache["norms"]
         wf = self.w.reshape(k, -1)
-        t = (patches @ wf.T) / norms
-        dv = np.einsum("bpk,bpd->kd", s, patches)
+        dv = _kernel_grad(s, patches)
         d_beta = np.einsum("bpk,bpk->k", s, t)
         d_bias = np.sum(s, axis=(0, 1))
         dwf = autodiff.reparam_grads(wf, norms, self.beta, dv, d_beta)
@@ -518,7 +527,7 @@ class SigmoidDetConv:
         s = np.asarray(upstream, np.float64).transpose(0, 2, 3, 1).reshape(b, -1, k)
         p = expit(cache["u"])
         s = s * (p * (1.0 - p))
-        dw = np.einsum("bpk,bpd->kd", s, cache["patches"]).reshape(self.w.shape)
+        dw = _kernel_grad(s, cache["patches"]).reshape(self.w.shape)
         d_bias = np.sum(s, axis=(0, 1))
         dpatches = s @ self.w.reshape(k, -1)
         dz = col2im(dpatches, cache["in_shape"], self.w.shape[2], self.w.shape[3],
@@ -530,8 +539,11 @@ class MaxPool2:
     """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
 
     Backward routes the gradient to the position that won the forward max
-    (first index on ties), in sampled and mean mode alike.
+    (first in the order (0,0), (0,1), (1,0), (1,1) on ties), in sampled and
+    mean mode alike.
     """
+
+    _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self, name: str):
         self.name = name
@@ -541,23 +553,25 @@ class MaxPool2:
 
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
-        b, c, h, w = z.shape
-        h2, w2 = h - h % 2, w - w % 2
-        blocks = z[:, :, :h2, :w2].reshape(b, c, h2 // 2, 2, w2 // 2, 2)
-        flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2 // 2, w2 // 2, 4)
-        arg = np.argmax(flat, axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        h2, w2 = z.shape[2] - z.shape[2] % 2, z.shape[3] - z.shape[3] % 2
+        c00, c01, c10, c11 = (z[:, :, i:h2:2, j:w2:2] for i, j in self._CORNERS)
+        out = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
+        # first corner equal to the max: 0 if c00 wins, else 1 + (0 if c01 wins, ...)
+        arg = (c10 != out).astype(np.int8)
+        arg += 1
+        arg *= c01 != out
+        arg += 1
+        arg *= c00 != out
         return out, {"in_shape": z.shape, "arg": arg}
 
     def backward(self, cache, upstream):
         b, c, h, w = cache["in_shape"]
         h2, w2 = h - h % 2, w - w % 2
         arg = cache["arg"]
-        dflat = np.zeros(arg.shape + (4,), dtype=np.float64)
-        np.put_along_axis(dflat, arg[..., None], np.asarray(upstream, np.float64)[..., None], axis=-1)
+        upstream = np.asarray(upstream, np.float64)
         dz = np.zeros((b, c, h, w), dtype=np.float64)
-        dz[:, :, :h2, :w2] = dflat.reshape(b, c, h2 // 2, w2 // 2, 2, 2) \
-            .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2)
+        for q, (i, j) in enumerate(self._CORNERS):
+            dz[:, :, i:h2:2, j:w2:2] = np.where(arg == q, upstream, 0.0)
         return {}, dz
 
 

@@ -1,6 +1,6 @@
 """Network container: a layer stack with mode-dispatched forward/backward.
 
-Noise streams: forward_sample derives one substream per layer as
+Noise streams: forward and predict derive one substream per layer as
 stream.child(layer_index), so a layer's draws depend only on
 (seed, purpose-path, layer), never on how other layers consume randomness.
 """
@@ -55,13 +55,22 @@ class Network:
 
     def forward(self, z, mode: str = MODE_SAMPLE, stream: RngStream | None = None):
         """Run the stack; returns (logits, caches)."""
-        out = self._prep(z)
         caches = []
+        return self._run(z, mode, stream, caches), caches
+
+    def predict(self, z, mode: str = MODE_SAMPLE, stream: RngStream | None = None):
+        """Logits of the same pass as forward, keeping no backward caches."""
+        return self._run(z, mode, stream, None)
+
+    def _run(self, z, mode, stream, caches: list | None):
+        out = self._prep(z)
         for idx, layer in enumerate(self.layers):
             sub = stream.child(idx) if stream is not None else None
             out, cache = layer.forward(out, mode, sub)
-            caches.append(cache)
-        return out, caches
+            if caches is not None:
+                caches.append(cache)
+            del cache   # otherwise a dropped cache lives on through the next layer
+        return out
 
     def backward(self, caches, dlogits):
         """Chain the layer backwards; returns {layer.param: grad} flat dict."""
@@ -92,8 +101,7 @@ class Network:
 
     def mean_loss(self, z, labels) -> float:
         """Deterministic expectation-path loss (the FD check's scalar)."""
-        logits, _ = self.forward(z, MODE_MEAN)
-        return cross_entropy_loss(softmax(logits), labels)
+        return cross_entropy_loss(softmax(self.predict(z, MODE_MEAN)), labels)
 
     def last_hidden_stat(self, caches) -> np.ndarray | None:
         """The nonlinearity argument of the deepest hidden layer, flattened."""

@@ -221,8 +221,7 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
         yb = labels[start:start + batch_size]
         acc = np.zeros((xb.shape[0], _num_classes(network)), dtype=np.float64)
         for s in range(mc_samples):
-            logits, _ = network.forward(xb, mode, stream.child(s, start))
-            acc += softmax(logits)
+            acc += softmax(network.predict(xb, mode, stream.child(s, start)))
         wrong += int(np.sum(np.argmax(acc, axis=1) != yb))
     return wrong / n
 

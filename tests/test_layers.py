@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from nsm.autodiff import fd_against
-from nsm.core import (activation_probability, erf_probability, preactivation,
-                      sign_activation)
+from nsm.autodiff import fd_against, reparam_grads
+from nsm.core import (activation_probability, erf_probability, erf_slope,
+                      preactivation, sign_activation)
 from nsm.errors import ConfigError, ShapeError
 from nsm.layers import (MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, AffineHead,
                         BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
@@ -464,6 +464,95 @@ class TestNsmConv:
         np.testing.assert_allclose(out2, out1, atol=1e-12)
 
 
+STRIDE_PAD = [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def col2im_nchw(dpatches, in_shape, kh, kw, stride, pad, grid):
+    """col2im accumulated channels-first from transposed patch slices."""
+    b, c, h, w = in_shape
+    oh, ow = grid
+    dz = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    dp = dpatches.reshape(b, oh, ow, c, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            dz[:, :, i:i + oh * stride:stride, j:j + ow * stride:stride] += \
+                dp[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dz[:, :, pad:h + pad, pad:w + pad]
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    """max |got - want| within rel times the largest |want|."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestConvReference:
+    """The conv path against its unfactored formulas: one product per use,
+    an einsum weight gradient and a channels-first col2im."""
+
+    @pytest.mark.parametrize("model", [NoiseModel.bernoulli(0.5), NoiseModel.gaussian(0.3)],
+                             ids=["bernoulli", "gaussian"])
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_sample_forward_and_backward(self, stride, pad, model):
+        rng = np.random.default_rng(42)
+        layer = NsmConv("c", rng.normal(size=(4, 3, 3, 3)), model,
+                        a=0.2 * rng.normal(size=4), bias=0.1 * rng.normal(size=4),
+                        stride=stride, pad=pad)
+        z = rng.choice([-1.0, 1.0], size=(3, 3, 7, 6))
+        stream = RngStream(8).child(NS_NOISE, stride, pad)
+
+        patches, grid = im2col(z, 3, 3, stride, pad)
+        wf = layer.w.reshape(4, -1)
+        norms = np.sqrt(np.sum(wf * wf, axis=1))
+        t = (patches @ wf.T) / norms
+        x = layer.beta * t + layer.bias
+        xi = sample_noise(model, z.shape, stream)
+        noisy, _ = im2col(xi * z, 3, 3, stride, pad)
+        b_raw = layer.bias * model.scale * norms
+        u = noisy @ wf.T + layer.a * (patches @ wf.T) + b_raw
+        maps = sign_activation(u).reshape(3, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
+
+        out, cache = layer.forward(z, MODE_SAMPLE, stream)
+        np.testing.assert_array_equal(out, maps)
+        np.testing.assert_array_equal(cache["x"], x)
+        np.testing.assert_array_equal(cache["t"], t)
+
+        upstream = rng.normal(size=out.shape)
+        grads, dz = layer.backward(cache, upstream)
+        s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * erf_slope(x)
+        dv = np.einsum("bpk,bpd->kd", s, patches)
+        d_beta = np.einsum("bpk,bpk->k", s, t)
+        dwf = reparam_grads(wf, norms, layer.beta, dv, d_beta)
+        dpatches = s @ ((layer.beta / norms)[:, None] * wf)
+        assert_close_rel(grads["w"], dwf.reshape(layer.w.shape))
+        assert_close_rel(grads["beta"], d_beta)
+        assert_close_rel(grads["bias"], np.sum(s, axis=(0, 1)))
+        assert_close_rel(dz, col2im_nchw(dpatches, z.shape, 3, 3, stride, pad, grid))
+
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_col2im_equals_channels_first_loop(self, stride, pad):
+        rng = np.random.default_rng(43)
+        shape = (2, 3, 7, 6)
+        _, grid = im2col(np.zeros(shape), 3, 3, stride, pad)
+        dpatches = rng.normal(size=(2, grid[0] * grid[1], 27))
+        np.testing.assert_array_equal(
+            col2im(dpatches, shape, 3, 3, stride, pad, grid),
+            col2im_nchw(dpatches, shape, 3, 3, stride, pad, grid))
+
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_sigmoid_conv_weight_gradient_matches_einsum(self, stride, pad):
+        rng = np.random.default_rng(44)
+        layer = SigmoidDetConv("c", rng.normal(size=(4, 3, 3, 3)),
+                               bias=0.1 * rng.normal(size=4), stride=stride, pad=pad)
+        z = rng.normal(size=(3, 3, 7, 6))
+        out, cache = layer.forward(z, MODE_MEAN)
+        upstream = rng.normal(size=out.shape)
+        grads, _ = layer.backward(cache, upstream)
+        p = expit(cache["u"])
+        s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * (p * (1.0 - p))
+        dw = np.einsum("bpk,bpd->kd", s, cache["patches"]).reshape(layer.w.shape)
+        assert_close_rel(grads["w"], dw)
+
+
 class TestSigmoidDetConv:
 
     def test_forward_and_backward_fd(self):
@@ -482,6 +571,48 @@ class TestSigmoidDetConv:
 
         assert fd_against(loss, [layer.w, layer.bias],
                           [grads["w"], grads["bias"]], h=1e-6) < 1e-8
+
+
+def max_pool_reference(z):
+    """2x2 pooling by argmax over copied (B, C, H/2, W/2, 4) blocks."""
+    b, c, h, w = z.shape
+    h2, w2 = h - h % 2, w - w % 2
+    blocks = z[:, :, :h2, :w2].reshape(b, c, h2 // 2, 2, w2 // 2, 2)
+    flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2 // 2, w2 // 2, 4)
+    arg = np.argmax(flat, axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def max_pool_backward_reference(z_shape, arg, upstream):
+    b, c, h, w = z_shape
+    h2, w2 = h - h % 2, w - w % 2
+    dflat = np.zeros(arg.shape + (4,))
+    np.put_along_axis(dflat, arg[..., None], upstream[..., None], axis=-1)
+    dz = np.zeros(z_shape)
+    dz[:, :, :h2, :w2] = dflat.reshape(b, c, h2 // 2, w2 // 2, 2, 2) \
+        .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h2, w2)
+    return dz
+
+
+class TestMaxPoolReference:
+    """MaxPool2 on strided corners against argmax over copied blocks."""
+
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7), (2, 9), (1, 6)])
+    @pytest.mark.parametrize("kind", ["signs", "normal"])
+    def test_outputs_and_routing_bit_identical(self, kind, hw):
+        rng = np.random.default_rng(45)
+        shape = (3, 4) + hw
+        z = (rng.choice([-1.0, 1.0], size=shape) if kind == "signs"
+             else rng.normal(size=shape))
+        pool = MaxPool2("p")
+        out, cache = pool.forward(z, MODE_SAMPLE)
+        want, arg = max_pool_reference(z)
+        np.testing.assert_array_equal(out, want)
+        assert cache["arg"].dtype == np.int8
+        np.testing.assert_array_equal(cache["arg"], arg)
+        upstream = rng.normal(size=out.shape)
+        _, dz = pool.backward(cache, upstream)
+        np.testing.assert_array_equal(dz, max_pool_backward_reference(shape, arg, upstream))
 
 
 class TestPooling:

@@ -2,6 +2,8 @@
 checkpoint-resume identity, and Monte Carlo evaluation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from nsm.network import (Network, check_finite_grads, cross_entropy_loss,
                          softmax)
 from nsm.noise import NoiseModel
 from nsm.presets import build_network, parse_preset
-from nsm.rng import NS_EVAL, NS_INIT, RngStream
+from nsm.rng import NS_EVAL, NS_INIT, NS_NOISE, RngStream
 from nsm.training import (Adam, MetricsRecord, Sgd, TrainConfig, TrainState,
                           data_dependent_init, evaluate_mc, make_optimizer,
                           schedule, train, train_epoch)
@@ -289,3 +291,44 @@ class TestEvaluateMc:
         err = evaluate_mc(net, test_ds.inputs, test_ds.labels, 3,
                           RngStream(17).child(NS_EVAL))
         assert 0.0 <= err <= 1.0
+
+
+class TestPredict:
+    """predict runs forward's pass and substreams without keeping caches."""
+
+    @staticmethod
+    def assert_same_logits(net, x, modes=(MODE_SAMPLE, MODE_MEAN)):
+        for mode in modes:
+            stream = RngStream(19).child(NS_NOISE, 3)
+            logits, _ = net.forward(x, mode, stream)
+            np.testing.assert_array_equal(net.predict(x, mode, stream), logits)
+
+    @pytest.mark.parametrize("site", ["neuron", "synapse"])
+    def test_nsm_mlp_matches_forward(self, site):
+        net = build_network(parse_preset("mlp-20-16-10-4"), "nsm",
+                            NoiseModel.bernoulli(0.5), site=site, seed=18)
+        x = np.random.default_rng(18).choice([-1.0, 1.0], size=(7, 20))
+        self.assert_same_logits(net, x)
+
+    def test_baseline_matches_forward(self):
+        net = build_small_net("stnn", "mlp-20-16-10-4", seed=19)
+        x = np.random.default_rng(19).choice([-1.0, 1.0], size=(7, 20))
+        self.assert_same_logits(net, x)
+
+    def test_cnn_matches_forward(self):
+        net = build_small_net("nsm", "cnn-mnist", seed=20)
+        x = np.random.default_rng(20).choice([-1.0, 1.0], size=(3, 1, 28, 28))
+        self.assert_same_logits(net, x)
+
+    def test_cnn_predict_peaks_below_forward(self):
+        net = build_small_net("nsm", "cnn-mnist", seed=21)
+        x = np.random.default_rng(21).choice([-1.0, 1.0], size=(100, 1, 28, 28))
+        peaks = {}
+        for name in ("forward", "predict"):
+            tracemalloc.start()
+            try:
+                getattr(net, name)(x, MODE_SAMPLE, RngStream(21).child(NS_NOISE))
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["predict"] <= 0.8 * peaks["forward"]
