@@ -1,0 +1,111 @@
+"""Golden training runs: the behaviour contract for refactors.
+
+Each case trains a small model through `nsm train` and is recorded as
+`tests/golden/<case>.csv` (its metrics.csv) plus a SHA-256 digest of its
+final parameters in `tests/golden/params.sha256`. `tests/test_golden.py`
+reruns every case and requires the same metrics, ignoring the `seconds`
+column, and the same digest; it never rewrites these files. Metrics round
+the parameters away, so the digest is what catches a changed last bit.
+
+Rewrite the files only when a change alters the random draws or the
+arithmetic on purpose, and say why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import tempfile
+
+GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
+DIGEST_FILE = os.path.join(GOLDEN_DIR, "params.sha256")
+
+_MLP = dict(preset="mlp-16-8-8-2", dataset="synthetic:xor-blobs", dim=16,
+            train_size=96, test_size=32, epochs=2, batch_size=16,
+            eval_every=1, mc_samples=2, init_batch=32, seed=3)
+
+CASES = {
+    "nsm-neuron-bernoulli-sgd": dict(_MLP, model="nsm", noise="bernoulli",
+                                     noise_param=0.5, optimizer="sgd", lr=0.1),
+    "nsm-neuron-gaussian-adam": dict(_MLP, model="nsm", noise="gaussian",
+                                     noise_param=1.0, optimizer="adam", lr=0.01),
+    "nsm-synapse-bernoulli-adam": dict(_MLP, model="nsm", site="synapse",
+                                       noise="bernoulli", noise_param=0.5,
+                                       optimizer="adam", lr=0.01),
+    "nsm-synapse-gaussian-sgd": dict(_MLP, model="nsm", site="synapse",
+                                     noise="gaussian", noise_param=0.5,
+                                     optimizer="sgd", lr=0.1, head_bias="off"),
+    "binary-erf-adam": dict(_MLP, model="binary-erf", optimizer="adam", lr=0.01),
+    "binconcrete-sgd": dict(_MLP, model="binconcrete", optimizer="sgd", lr=0.1),
+    "wnorm-binary-det-adam": dict(_MLP, model="wnorm-binary-det",
+                                  optimizer="adam", lr=0.01),
+    "stnn-sgd": dict(_MLP, model="stnn", optimizer="sgd", lr=0.1),
+    "binary-det-sgd": dict(_MLP, model="binary-det", optimizer="sgd", lr=0.1),
+    "noisy-rectifier-adam": dict(_MLP, model="noisy-rectifier",
+                                 optimizer="adam", lr=0.01),
+    "sigmoid-det-adam": dict(_MLP, model="sigmoid-det", optimizer="adam", lr=0.01),
+    # NsmConv, MaxPool2, Flatten and NormalizedHead on 28x28 synthetic maps
+    "cnn-nsm-adam": dict(preset="cnn-mnist", dataset="synthetic:xor-blobs",
+                         dim=784, train_size=24, test_size=8, epochs=2,
+                         batch_size=8, eval_every=1, mc_samples=2,
+                         init_batch=16, seed=3, model="nsm", optimizer="adam",
+                         lr=0.003),
+}
+
+# resumed after its first epoch, this case must give the uninterrupted run
+RESUME_CASE = "nsm-neuron-gaussian-adam"
+
+
+def train_argv(case: str, out: str, **overrides) -> list[str]:
+    argv = ["train", "--out", out]
+    for key, value in {**CASES[case], **overrides}.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
+
+
+def param_digest(checkpoint: str) -> str:
+    """SHA-256 over every parameter's name, shape and float64 bytes."""
+    from nsm.checkpoint import load_checkpoint
+
+    _, params, _ = load_checkpoint(checkpoint)
+    h = hashlib.sha256()
+    for name in sorted(params):
+        arr = params[name]
+        h.update(f"{name}{arr.shape}".encode())
+        h.update(arr.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def read_digests() -> dict[str, str]:
+    with open(DIGEST_FILE) as f:
+        return dict(line.split() for line in f if line.strip())
+
+
+def run(case: str, out: str, **overrides) -> str:
+    """Train one case into out; returns the digest of its final parameters."""
+    from nsm.cli import main
+
+    code = main(train_argv(case, out, **overrides))
+    if code != 0:
+        raise RuntimeError(f"golden case {case} exited {code}")
+    return param_digest(os.path.join(out, "model.ckpt"))
+
+
+def regenerate():
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            out = os.path.join(tmp, case)
+            digest = run(case, out)
+            shutil.copyfile(os.path.join(out, "metrics.csv"),
+                            os.path.join(GOLDEN_DIR, f"{case}.csv"))
+            lines.append(f"{case} {digest}\n")
+    with open(DIGEST_FILE, "w") as f:
+        f.writelines(lines)
+
+
+if __name__ == "__main__":
+    regenerate()
