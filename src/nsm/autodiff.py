@@ -18,12 +18,9 @@ corrupted rule and watch the gradient checker catch it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import ShapeError
 
 
 def reparam_grads(w: np.ndarray, norms: np.ndarray, beta: np.ndarray,
@@ -37,33 +34,6 @@ def reparam_grads(w: np.ndarray, norms: np.ndarray, beta: np.ndarray,
     coef = (beta / norms)[:, None]
     dw = coef * dv - ((beta * d_beta) / (norms * norms))[:, None] * w
     return dw
-
-
-@dataclass
-class GradientBundle:
-    """Batch-summed parameter gradients of one dense stochastic layer."""
-    d_w: np.ndarray
-    d_beta: np.ndarray
-    d_bias: np.ndarray
-    d_a: np.ndarray       # chain through the noise mapping: d_beta / sqrt(2 Var)
-    d_input: np.ndarray
-
-
-def backward_dense(layer, cache, upstream) -> GradientBundle:
-    """Dense layer backward at a cached forward state.
-
-    upstream is dL/dm for the layer output m = 2P - 1, shaped like the
-    cached erf argument. d_a converts the beta gradient onto the noise
-    offset via the inverse slope of the beta mapping.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != cache["x"].shape:
-        raise ShapeError(
-            f"upstream shape {upstream.shape} != argument shape {cache['x'].shape}")
-    grads, d_input = layer.backward(cache, upstream)
-    d_a = grads["beta"] / layer.model.scale
-    return GradientBundle(d_w=grads["w"], d_beta=grads["beta"],
-                          d_bias=grads["bias"], d_a=d_a, d_input=d_input)
 
 
 def fd_against(f: Callable[[], float], params: list[np.ndarray],

@@ -98,6 +98,17 @@ def _descriptor(cfg: RunConfig, state: TrainState) -> dict:
             "dataset": cfg.dataset, "dim": str(cfg.dim)}
 
 
+# descriptor entries eval rebuilds the model from; a resume must match these and more
+_MODEL_KEYS = ("preset", "model", "noise", "noise_param", "site", "head_bias", "seed")
+_RESUME_KEYS = _MODEL_KEYS + ("optimizer", "dataset", "dim")
+
+
+def _require(desc: dict, keys, path: str):
+    for key in keys:
+        if key not in desc:
+            raise ConfigError(f"{path}: checkpoint descriptor has no {key!r} entry")
+
+
 def _moments(state: TrainState) -> dict:
     opt = state.optimizer
     if not isinstance(opt, Adam):
@@ -127,7 +138,6 @@ def build_from_config(cfg: RunConfig) -> Network:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     train_ds, test_ds = resolve_datasets(cfg)   # before any output is created
-    os.makedirs(args.out, exist_ok=True)
     net = build_from_config(cfg)
     tc = _train_config(cfg)
     state = TrainState(network=net, optimizer=make_optimizer(tc), config=tc,
@@ -135,6 +145,12 @@ def cmd_train(args) -> int:
                        mode=MODE_CONCRETE if cfg.model == "binconcrete" else MODE_SAMPLE)
     if args.resume:
         desc, params, moments = load_checkpoint(args.resume)
+        _require(desc, _RESUME_KEYS + ("epoch", "iteration"), args.resume)
+        run_desc = _descriptor(cfg, state)
+        for key in _RESUME_KEYS:
+            if desc[key] != run_desc[key]:
+                raise ConfigError(f"{args.resume}: checkpoint has {key} = {desc[key]}, "
+                                  f"this run has {key} = {run_desc[key]}")
         restore_params(net, params)
         state.epoch = int(desc["epoch"])
         state.iteration = int(desc["iteration"])
@@ -143,6 +159,7 @@ def cmd_train(args) -> int:
         n = min(cfg.init_batch, len(train_ds))
         data_dependent_init(net, train_ds.inputs[:n],
                             RngStream(cfg.seed).child(NS_INIT, 101))
+    os.makedirs(args.out, exist_ok=True)
     grad_log = {} if args.log_gradients else None
     blew_up = None
     try:
@@ -181,6 +198,7 @@ def _apply_scale(net: Network, alpha: float, model: str):
 
 def cmd_eval(args) -> int:
     desc, params, _ = load_checkpoint(args.checkpoint)
+    _require(desc, _MODEL_KEYS, args.checkpoint)
     cfg = RunConfig(preset=desc["preset"], model=desc["model"], noise=desc["noise"],
                     noise_param=float(desc["noise_param"]), site=desc["site"],
                     head_bias=desc["head_bias"] == "on", seed=int(desc["seed"]),

@@ -2,18 +2,17 @@
 
 A binary unit i with weights w_i, noise offset a_i and raw bias b_i sees
 
-    u_i = sum_j (xi_ij + a_i) w_ij z_j + b_i + eta_i,    z = sign(u)
+    u_i = sum_j (xi_ij + a_i) w_ij z_j + b_i,    z = sign(u)
 
-with xi multiplicative noise and eta an optional additive Gaussian. Because
-z_j in {-1, +1} implies z_j^2 = 1, the central-limit closed form of the
-firing probability is
+with xi multiplicative noise. Because z_j in {-1, +1} implies z_j^2 = 1, the
+central-limit closed form of the firing probability is
 
     P(z_i = +1 | z) = 1/2 (1 + erf( E[u_i] / sqrt(2 Var[u_i]) ))
-    E[u_i]   = (E[xi] + a_i) (w_i . z) + b_i + E[eta]
-    Var[u_i] = Var[xi] ||w_i||^2 + Var[eta]
+    E[u_i]   = (E[xi] + a_i) (w_i . z) + b_i
+    Var[u_i] = Var[xi] ||w_i||^2
 
-which with eta off is 1/2 (1 + erf(beta_i (w_i.z)/||w_i|| + b_norm_i)):
-the network self-normalizes by the weight-row norm.
+that is 1/2 (1 + erf(beta_i (w_i.z)/||w_i|| + b_norm_i)): the network
+self-normalizes by the weight-row norm.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NormalizationError, ShapeError
-from .noise import NoiseModel, sample_additive, sample_noise
+from .noise import NoiseModel, sample_noise
 from .rng import RngStream
 
 SITE_NEURON = "neuron"
@@ -81,8 +80,6 @@ def preactivation(w, z, a, b, model: NoiseModel, stream: RngStream,
     else:
         raise ShapeError(f"unknown noise site {site!r}")
     u = u + b
-    if model.has_additive:
-        u = u + sample_additive(model, u.shape, stream.child(1))
     out = u[0] if single else u.reshape(z.shape[:-1] + (w.shape[0],))
     return out
 
@@ -92,7 +89,7 @@ def activation_probability(w, z, a, b, model: NoiseModel) -> np.ndarray:
 
     Computes 1/2 (1 + erf(E[u]/sqrt(2 Var[u]))) with the moments given in
     the module docstring. Raises NormalizationError when a weight row has
-    zero norm and no additive variance rescues the denominator.
+    zero norm and DegenerateNoiseError when the noise has zero variance.
     """
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -100,13 +97,10 @@ def activation_probability(w, z, a, b, model: NoiseModel) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
 
-    norms_sq = np.sum(w * w, axis=1)
-    var_u = model.variance * norms_sq + model.additive_var
-    if np.any(var_u <= 0.0):
-        # distinguish the two reasons for the caller's sake
-        if model.variance > 0.0 or model.additive_var > 0.0:
-            raise NormalizationError("zero-norm weight row: normalized argument undefined")
-        model.scale  # raises DegenerateNoiseError with the precise message
-    mean_u = (model.mean + a) * (z @ w.T) + b + model.additive_mean
+    model.scale  # raises DegenerateNoiseError when the noise has no variance
+    var_u = model.variance * np.sum(w * w, axis=1)
+    if np.any(var_u == 0.0):
+        raise NormalizationError("zero-norm weight row: normalized argument undefined")
+    mean_u = (model.mean + a) * (z @ w.T) + b
     x = mean_u / np.sqrt(2.0 * var_u)
     return erf_probability(x)

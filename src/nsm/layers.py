@@ -5,11 +5,15 @@ Parameterization of a stochastic binary layer: the trainable arrays are
 
     P(+1) = 1/2 (1 + erf(beta t + b_norm)),   t = (w . z) / ||w||.
 
-The noise offset a and the raw additive bias of the sampled path are derived
-on the fly from the live arrays (a = beta sqrt(2 Var xi) - E[xi],
+The noise offset a and the raw bias of the sampled path are derived on the
+fly from the live arrays (a = beta sqrt(2 Var xi) - E[xi],
 b_raw = b_norm sqrt(2 Var xi) ||w||), so scaling a weight row leaves the
 layer's distribution over outputs exactly unchanged and the gradient rule in
 `autodiff` is the exact derivative of the mean path.
+
+NsmDense, NsmConv (an NsmDense over im2col patches), NormalizedHead and the
+wnorm-binary-det baseline share one core: `_project` computes t and
+`_normalized_backward` gives the orthogonal gradients of x = scale t + bias.
 
 Every layer exposes:
     forward(z, mode, stream) -> (out, cache)   mode in {sample, mean, concrete}
@@ -25,7 +29,7 @@ from scipy.special import expit  # numerically stable sigmoid
 from . import autodiff
 from .core import erf_probability, erf_slope, sign_activation
 from .errors import ConfigError, DegenerateNoiseError, NormalizationError, ShapeError
-from .noise import NoiseModel, a_from_beta, sample_noise
+from .noise import NoiseModel, a_from_beta, beta_from_noise, sample_noise
 from .rng import RngStream
 
 MODE_SAMPLE = "sample"
@@ -40,6 +44,39 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise NormalizationError("zero-norm weight row")
     return norms
+
+
+def _per_unit(value, out: int, fill: float = 0.0) -> np.ndarray:
+    """A fresh (out,) float64 array of value broadcast, or of fill if value is None."""
+    value = fill if value is None else value
+    return np.array(np.broadcast_to(np.asarray(value, dtype=np.float64), (out,)))
+
+
+def _project(w: np.ndarray, rows: np.ndarray):
+    """(s, t, norms) with s = rows @ w.T and t = s / ||w_k||; rows (..., D), w (K, D)."""
+    norms = _row_norms(w)
+    s = rows @ w.T
+    return s, s / norms, norms
+
+
+def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum over all leading axes of s (..., K) times rows (..., D), as one GEMM."""
+    return s.reshape(-1, s.shape[-1]).T @ rows.reshape(-1, rows.shape[-1])
+
+
+def _normalized_backward(w, scale, norms, rows, t, s):
+    """(dw, d_scale, d_bias, d_rows) through x = scale t + bias, t from _project.
+
+    s is dL/dx, shaped like t. Parameter gradients sum over all leading axes;
+    dw is orthogonal to w row by row (the rule in autodiff.reparam_grads).
+    """
+    k = w.shape[0]
+    flat = s.reshape(-1, k)
+    d_scale = np.einsum("nk,nk->k", flat, t.reshape(-1, k))   # no (N, K) product temporary
+    d_bias = np.sum(flat, axis=0)
+    dw = autodiff.reparam_grads(w, norms, scale, _kernel_grad(s, rows), d_scale)
+    d_rows = s @ ((scale / norms)[:, None] * w)
+    return dw, d_scale, d_bias, d_rows
 
 
 def glorot(shape, fan_in, fan_out, stream: RngStream) -> np.ndarray:
@@ -104,26 +141,24 @@ class NsmDense:
     deterministic baseline).
     """
 
+    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 2, "dense weights must be (out, in)"
+
     def __init__(self, name: str, w: np.ndarray, model: NoiseModel,
                  beta=None, a=None, bias=None, site: str = "neuron",
                  deterministic: bool = False):
         self.name = name
         self.w = np.array(w, dtype=np.float64)
-        if self.w.ndim != 2:
-            raise ShapeError(f"dense weights must be (out, in), got {self.w.shape}")
+        if self.w.ndim != self._WEIGHT_NDIM:
+            raise ShapeError(f"{self._WEIGHT_LAYOUT}, got {self.w.shape}")
         self.model = model
-        if model.has_additive:
-            raise ConfigError("additive noise is not supported on trainable layers")
         model.scale  # force DegenerateNoiseError now rather than mid-training
         out = self.w.shape[0]
         if beta is not None and a is not None:
             raise ConfigError("give beta or a, not both")
         if beta is None:
-            a = np.zeros(out) if a is None else np.asarray(a, dtype=np.float64)
-            beta = (model.mean + a) / model.scale
-        self.beta = np.array(np.broadcast_to(np.asarray(beta, dtype=np.float64), (out,)))
-        self.bias = (np.zeros(out) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (out,))))
+            beta = beta_from_noise(model, _per_unit(a, out))
+        self.beta = _per_unit(beta, out)
+        self.bias = _per_unit(bias, out)
         self.site = site
         self.deterministic = deterministic
 
@@ -135,51 +170,64 @@ class NsmDense:
     def params(self):
         return {"w": self.w, "beta": self.beta, "bias": self.bias}
 
-    def _normalized_argument(self, z: np.ndarray):
-        norms = _row_norms(self.w)
-        t = (z @ self.w.T) / norms
-        x = self.beta * t + self.bias
-        return x, t, norms
+    # hooks a convolution overrides: the rows each unit projects, the output layout
+    def _matrix(self) -> np.ndarray:
+        """Weights as (units, fan-in)."""
+        return self.w
+
+    def _rows(self, z):
+        """(vectors each unit projects, output grid): z itself, no grid."""
+        return z, None
+
+    def _to_output(self, flat, grid):
+        return flat
+
+    def _from_output(self, upstream):
+        return upstream
+
+    def _input_grad(self, d_rows, cache):
+        return d_rows
+
+    def project(self, z):
+        """(s, t, norms) of the normalized projection of input z."""
+        return _project(self._matrix(), self._rows(z)[0])
 
     def forward(self, z, mode: str, stream: RngStream | None):
         z = np.asarray(z, dtype=np.float64)
+        w = self._matrix()
+        rows, grid = self._rows(z)
+        s, t, norms = _project(w, rows)
+        x = self.beta * t + self.bias
+        cache = {"rows": rows, "in_shape": z.shape, "grid": grid,
+                 "x": x, "t": t, "norms": norms, "stat": x}
         if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
-            x, t, norms = self._normalized_argument(z)
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
-            return out, {"z": z, "x": x, "t": t, "norms": norms, "stat": x}
-        if mode == MODE_SAMPLE:
-            norms = _row_norms(self.w)
-            s = z @ self.w.T
+        elif mode == MODE_SAMPLE:
             b_raw = self.bias * self.model.scale * norms
             if self.site == "neuron":
                 xi = sample_noise(self.model, z.shape, stream)
-                u = (xi * z) @ self.w.T + self.a * s + b_raw
+                u = self._rows(xi * z)[0] @ w.T + self.a * s + b_raw
             elif self.site == "synapse":
-                u = self.a * s + b_raw + synapse_noise_sum(self.w, z, self.model, stream)
+                u = self.a * s + b_raw + synapse_noise_sum(w, z, self.model, stream)
             else:
                 raise ConfigError(f"unknown noise site {self.site!r}")
-            t = s / norms
-            x = self.beta * t + self.bias
-            return sign_activation(u), {"z": z, "x": x, "t": t, "norms": norms, "stat": x}
-        if mode == MODE_CONCRETE:
-            x, t, norms = self._normalized_argument(z)
-            out, r = _concrete_relax(x, stream)
-            return out, {"z": z, "x": x, "t": t, "norms": norms, "stat": x, "relax": r}
-        raise ConfigError(f"unknown forward mode {mode!r}")
+            out = sign_activation(u)
+        elif mode == MODE_CONCRETE:
+            out, cache["relax"] = _concrete_relax(x, stream)
+        else:
+            raise ConfigError(f"unknown forward mode {mode!r}")
+        return self._to_output(out, grid), cache
 
     def backward(self, cache, upstream):
-        upstream = np.asarray(upstream, dtype=np.float64)
+        upstream = self._from_output(np.asarray(upstream, dtype=np.float64))
         if "relax" in cache:
             upstream = upstream * cache["relax"]
         s = upstream * erf_slope(cache["x"])
-        z, t, norms = cache["z"], cache["t"], cache["norms"]
-        dv = s.T @ z
-        d_beta = np.sum(s * t, axis=0)
-        d_bias = np.sum(s, axis=0)
-        dw = autodiff.reparam_grads(self.w, norms, self.beta, dv, d_beta)
-        dz = s @ ((self.beta / norms)[:, None] * self.w)
-        return {"w": dw, "beta": d_beta, "bias": d_bias}, dz
+        dw, d_beta, d_bias, d_rows = _normalized_backward(
+            self._matrix(), self.beta, cache["norms"], cache["rows"], cache["t"], s)
+        return ({"w": dw.reshape(self.w.shape), "beta": d_beta, "bias": d_bias},
+                self._input_grad(d_rows, cache))
 
 
 class NormalizedHead:
@@ -194,10 +242,8 @@ class NormalizedHead:
         self.name = name
         self.w = np.array(w, dtype=np.float64)
         out = self.w.shape[0]
-        self.beta = (np.ones(out) if beta is None
-                     else np.array(np.broadcast_to(np.asarray(beta, np.float64), (out,))))
-        self.bias = (np.zeros(out) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (out,))))
+        self.beta = _per_unit(beta, out, fill=1.0)
+        self.bias = _per_unit(bias, out)
         self.bias_trainable = bias_trainable
 
     def params(self):
@@ -206,24 +252,21 @@ class NormalizedHead:
             p["bias"] = self.bias
         return p
 
+    def project(self, z):
+        return _project(self.w, z)
+
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
-        norms = _row_norms(self.w)
-        t = (z @ self.w.T) / norms
-        x = self.beta * t + self.bias
-        return x, {"z": z, "norms": norms}
+        _, t, norms = self.project(z)
+        return self.beta * t + self.bias, {"z": z, "t": t, "norms": norms}
 
     def backward(self, cache, upstream):
         s = np.asarray(upstream, dtype=np.float64)
-        z, norms = cache["z"], cache["norms"]
-        t = (z @ self.w.T) / norms
-        dv = s.T @ z
-        d_beta = np.sum(s * t, axis=0)
-        dw = autodiff.reparam_grads(self.w, norms, self.beta, dv, d_beta)
-        dz = s @ ((self.beta / norms)[:, None] * self.w)
+        dw, d_beta, d_bias, dz = _normalized_backward(
+            self.w, self.beta, cache["norms"], cache["z"], cache["t"], s)
         grads = {"w": dw, "beta": d_beta}
         if self.bias_trainable:
-            grads["bias"] = np.sum(s, axis=0)
+            grads["bias"] = d_bias
         return grads, dz
 
 
@@ -233,9 +276,7 @@ class AffineHead:
     def __init__(self, name: str, w: np.ndarray, bias=None):
         self.name = name
         self.w = np.array(w, dtype=np.float64)
-        out = self.w.shape[0]
-        self.bias = (np.zeros(out) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (out,))))
+        self.bias = _per_unit(bias, self.w.shape[0])
 
     def params(self):
         return {"w": self.w, "bias": self.bias}
@@ -280,11 +321,9 @@ class BaselineDense:
         self.w = np.array(w, dtype=np.float64)
         out = self.w.shape[0]
         self.has_bias = kind != STNN
-        self.bias = (np.zeros(out) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (out,))))
+        self.bias = _per_unit(bias, out)
         if kind == WNORM_BINARY_DET:
-            self.g = (np.ones(out) if g is None
-                      else np.array(np.broadcast_to(np.asarray(g, np.float64), (out,))))
+            self.g = _per_unit(g, out, fill=1.0)
 
     def params(self):
         p = {"w": self.w}
@@ -294,25 +333,26 @@ class BaselineDense:
             p["bias"] = self.bias
         return p
 
+    def project(self, z):
+        return _project(self.w, z)
+
     def forward(self, z, mode, stream: RngStream | None = None):
         z = np.asarray(z, dtype=np.float64)
         k = self.kind
         if k == WNORM_BINARY_DET:
-            norms = _row_norms(self.w)
-            u = self.g * ((z @ self.w.T) / norms) + self.bias
+            _, t, norms = self.project(z)
+            u = self.g * t + self.bias
+            cache = {"z": z, "u": u, "stat": u, "t": t, "norms": norms}
         else:
             u = z @ self.w.T + self.bias
-        cache = {"z": z, "u": u, "stat": u}
+            cache = {"z": z, "u": u, "stat": u}
         if k == STNN:
             p = expit(u)
             if mode == MODE_MEAN:
                 return 2.0 * p - 1.0, cache
             draws = stream.generator().random(u.shape)
             return np.where(draws < p, 1.0, -1.0), cache
-        if k == BINARY_DET:
-            return sign_activation(u), cache
-        if k == WNORM_BINARY_DET:
-            cache["norms"] = norms
+        if k in (BINARY_DET, WNORM_BINARY_DET):
             return sign_activation(u), cache
         if k == NOISY_RECTIFIER:
             if mode == MODE_MEAN:
@@ -339,13 +379,9 @@ class BaselineDense:
             p = expit(u)
             s = upstream * (p * (1.0 - p))
         if k == WNORM_BINARY_DET:
-            norms = cache["norms"]
-            t = (z @ self.w.T) / norms
-            dv = s.T @ z
-            d_g = np.sum(s * t, axis=0)
-            dw = autodiff.reparam_grads(self.w, norms, self.g, dv, d_g)
-            dz = s @ ((self.g / norms)[:, None] * self.w)
-            return {"w": dw, "g": d_g, "bias": np.sum(s, axis=0)}, dz
+            dw, d_g, d_bias, dz = _normalized_backward(
+                self.w, self.g, cache["norms"], z, cache["t"], s)
+            return {"w": dw, "g": d_g, "bias": d_bias}, dz
         grads = {"w": s.T @ z}
         if self.has_bias:
             grads["bias"] = np.sum(s, axis=0)
@@ -395,12 +431,29 @@ def col2im(dpatches: np.ndarray, in_shape, kh: int, kw: int, stride: int, pad: i
     return dz
 
 
-def _kernel_grad(s: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    """sum over batch and positions of s (B, P, K) times patches (B, P, D), as one GEMM."""
-    return s.reshape(-1, s.shape[-1]).T @ patches.reshape(-1, patches.shape[-1])
+class _ConvMaps:
+    """What a convolution adds to a layer over unit vectors: each output unit
+    projects the im2col patches of z, and outputs are (B, K, oh, ow) maps."""
+
+    def _matrix(self):
+        return self.w.reshape(self.w.shape[0], -1)
+
+    def _rows(self, z):
+        return im2col(z, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
+
+    def _to_output(self, flat, grid):
+        return flat.reshape(flat.shape[0], grid[0], grid[1], -1).transpose(0, 3, 1, 2)
+
+    def _from_output(self, upstream):
+        b, k = upstream.shape[:2]
+        return upstream.transpose(0, 2, 3, 1).reshape(b, -1, k)
+
+    def _input_grad(self, d_rows, cache):
+        return col2im(d_rows, cache["in_shape"], self.w.shape[2], self.w.shape[3],
+                      self.stride, self.pad, cache["grid"])
 
 
-class NsmConv:
+class NsmConv(_ConvMaps, NsmDense):
     """Stochastic binary convolution; noise drawn once per input pixel.
 
     u_k = conv(w_k, xi * z) + a_k conv(w_k, z) + b_raw_k; the row norm of
@@ -409,100 +462,24 @@ class NsmConv:
     patches.
     """
 
+    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 4, "conv weights must be (K, C, kh, kw)"
+
     def __init__(self, name: str, w: np.ndarray, model: NoiseModel,
                  beta=None, a=None, bias=None, stride: int = 1, pad: int = 0,
                  deterministic: bool = False):
-        self.name = name
-        self.w = np.array(w, dtype=np.float64)
-        if self.w.ndim != 4:
-            raise ShapeError(f"conv weights must be (K, C, kh, kw), got {self.w.shape}")
-        self.model = model
-        if model.has_additive:
-            raise ConfigError("additive noise is not supported on trainable layers")
-        model.scale
-        k = self.w.shape[0]
-        if beta is None:
-            a = np.zeros(k) if a is None else np.asarray(a, dtype=np.float64)
-            beta = (model.mean + a) / model.scale
-        self.beta = np.array(np.broadcast_to(np.asarray(beta, np.float64), (k,)))
-        self.bias = (np.zeros(k) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (k,))))
+        super().__init__(name, w, model, beta=beta, a=a, bias=bias,
+                         deterministic=deterministic)
         self.stride = int(stride)
         self.pad = int(pad)
-        self.deterministic = deterministic
-
-    @property
-    def a(self) -> np.ndarray:
-        return a_from_beta(self.model, self.beta)
-
-    def params(self):
-        return {"w": self.w, "beta": self.beta, "bias": self.bias}
-
-    def _wflat(self):
-        k = self.w.shape[0]
-        wf = self.w.reshape(k, -1)
-        return wf, _row_norms(wf)
-
-    def forward(self, z, mode, stream: RngStream | None):
-        z = np.asarray(z, dtype=np.float64)
-        kh, kw = self.w.shape[2], self.w.shape[3]
-        wf, norms = self._wflat()
-        patches, grid = im2col(z, kh, kw, self.stride, self.pad)
-        s = patches @ wf.T                                # (B, P, K)
-        t = s / norms
-        x = self.beta * t + self.bias
-        cache = {"in_shape": z.shape, "patches": patches, "grid": grid,
-                 "x": x, "t": t, "norms": norms, "stat": x}
-        if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
-            out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
-                else 2.0 * erf_probability(x) - 1.0
-            return self._to_maps(out, grid), cache
-        if mode == MODE_SAMPLE:
-            xi = sample_noise(self.model, z.shape, stream)
-            noisy, _ = im2col(xi * z, kh, kw, self.stride, self.pad)
-            b_raw = self.bias * self.model.scale * norms
-            u = noisy @ wf.T + self.a * s + b_raw
-            return self._to_maps(sign_activation(u), grid), cache
-        if mode == MODE_CONCRETE:
-            out, r = _concrete_relax(x, stream)
-            cache["relax"] = r
-            return self._to_maps(out, grid), cache
-        raise ConfigError(f"unknown forward mode {mode!r}")
-
-    def _to_maps(self, flat, grid):
-        b = flat.shape[0]
-        oh, ow = grid
-        return flat.reshape(b, oh, ow, -1).transpose(0, 3, 1, 2)
-
-    def backward(self, cache, upstream):
-        b = upstream.shape[0]
-        k = self.w.shape[0]
-        s_flat = np.asarray(upstream, np.float64).transpose(0, 2, 3, 1).reshape(b, -1, k)
-        if "relax" in cache:
-            s_flat = s_flat * cache["relax"]
-        s = s_flat * erf_slope(cache["x"])
-        patches, t, norms = cache["patches"], cache["t"], cache["norms"]
-        wf = self.w.reshape(k, -1)
-        dv = _kernel_grad(s, patches)
-        d_beta = np.einsum("bpk,bpk->k", s, t)
-        d_bias = np.sum(s, axis=(0, 1))
-        dwf = autodiff.reparam_grads(wf, norms, self.beta, dv, d_beta)
-        v = (self.beta / norms)[:, None] * wf
-        dpatches = s @ v                                  # (B, P, D)
-        dz = col2im(dpatches, cache["in_shape"], self.w.shape[2], self.w.shape[3],
-                    self.stride, self.pad, cache["grid"])
-        return {"w": dwf.reshape(self.w.shape), "beta": d_beta, "bias": d_bias}, dz
 
 
-class SigmoidDetConv:
+class SigmoidDetConv(_ConvMaps):
     """Deterministic conv + sigmoid, the conventional counterpart network."""
 
     def __init__(self, name: str, w: np.ndarray, bias=None, stride: int = 1, pad: int = 0):
         self.name = name
         self.w = np.array(w, dtype=np.float64)
-        k = self.w.shape[0]
-        self.bias = (np.zeros(k) if bias is None
-                     else np.array(np.broadcast_to(np.asarray(bias, np.float64), (k,))))
+        self.bias = _per_unit(bias, self.w.shape[0])
         self.stride = int(stride)
         self.pad = int(pad)
         self.kind = SIGMOID_DET
@@ -512,27 +489,17 @@ class SigmoidDetConv:
 
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
-        k = self.w.shape[0]
-        kh, kw = self.w.shape[2], self.w.shape[3]
-        patches, grid = im2col(z, kh, kw, self.stride, self.pad)
-        u = patches @ self.w.reshape(k, -1).T + self.bias
-        b = z.shape[0]
-        maps = expit(u).reshape(b, grid[0], grid[1], k).transpose(0, 3, 1, 2)
-        return maps, {"in_shape": z.shape, "patches": patches, "grid": grid,
-                      "u": u, "stat": u}
+        patches, grid = self._rows(z)
+        u = patches @ self._matrix().T + self.bias
+        return self._to_output(expit(u), grid), {"in_shape": z.shape, "patches": patches,
+                                                  "grid": grid, "u": u, "stat": u}
 
     def backward(self, cache, upstream):
-        b = upstream.shape[0]
-        k = self.w.shape[0]
-        s = np.asarray(upstream, np.float64).transpose(0, 2, 3, 1).reshape(b, -1, k)
         p = expit(cache["u"])
-        s = s * (p * (1.0 - p))
+        s = self._from_output(np.asarray(upstream, np.float64)) * (p * (1.0 - p))
         dw = _kernel_grad(s, cache["patches"]).reshape(self.w.shape)
-        d_bias = np.sum(s, axis=(0, 1))
-        dpatches = s @ self.w.reshape(k, -1)
-        dz = col2im(dpatches, cache["in_shape"], self.w.shape[2], self.w.shape[3],
-                    self.stride, self.pad, cache["grid"])
-        return {"w": dw, "bias": d_bias}, dz
+        return ({"w": dw, "bias": np.sum(s, axis=(0, 1))},
+                self._input_grad(s @ self._matrix(), cache))
 
 
 class MaxPool2:

@@ -1,10 +1,9 @@
 """Multiplicative noise models and the beta mapping.
 
 A NoiseModel describes the per-connection multiplicative noise xi (Gaussian
-with mean 1, or Bernoulli) and an optional additive Gaussian term eta. The
-"beta" of a unit with noise offset a is (E[xi] + a) / sqrt(2 Var[xi]): the
-slope of the normalized argument fed to erf in the closed-form firing
-probability.
+with mean 1, or Bernoulli). The "beta" of a unit with noise offset a is
+(E[xi] + a) / sqrt(2 Var[xi]): the slope of the normalized argument fed to
+erf in the closed-form firing probability.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ BERNOULLI = "bernoulli"
 class NoiseModel:
     kind: str
     param: float
-    # additive Gaussian eta ~ N(mean, var); None means no additive term
-    additive_mean: float = 0.0
-    additive_var: float = 0.0
 
     def __post_init__(self):
         if self.kind == GAUSSIAN:
@@ -38,16 +34,14 @@ class NoiseModel:
                 raise NoiseModelError(f"bernoulli rate must be in [0, 1], got {self.param}")
         else:
             raise NoiseModelError(f"unknown noise kind {self.kind!r}")
-        if self.additive_var < 0.0:
-            raise NoiseModelError(f"additive variance must be >= 0, got {self.additive_var}")
 
     @classmethod
-    def gaussian(cls, sigma2: float, additive_mean=0.0, additive_var=0.0) -> "NoiseModel":
-        return cls(GAUSSIAN, float(sigma2), float(additive_mean), float(additive_var))
+    def gaussian(cls, sigma2: float) -> "NoiseModel":
+        return cls(GAUSSIAN, float(sigma2))
 
     @classmethod
-    def bernoulli(cls, p: float, additive_mean=0.0, additive_var=0.0) -> "NoiseModel":
-        return cls(BERNOULLI, float(p), float(additive_mean), float(additive_var))
+    def bernoulli(cls, p: float) -> "NoiseModel":
+        return cls(BERNOULLI, float(p))
 
     @property
     def mean(self) -> float:
@@ -71,10 +65,6 @@ class NoiseModel:
                 "beta and the probability law are undefined"
             )
         return float(np.sqrt(2.0 * v))
-
-    @property
-    def has_additive(self) -> bool:
-        return self.additive_var > 0.0 or self.additive_mean != 0.0
 
 
 def beta_from_noise(model: NoiseModel, a) -> np.ndarray:
@@ -112,11 +102,3 @@ def sample_noise(model: NoiseModel, shape,
         return np.ones(shape, dtype=np.float64)
     bound = np.uint64(math.ceil(model.param * 2.0 ** 53) << 11)
     return (gen.bit_generator.random_raw(shape) < bound).astype(np.float64)
-
-
-def sample_additive(model: NoiseModel, shape, stream: RngStream) -> np.ndarray:
-    """Draw the additive term eta ~ N(mean, var) (zeros if the term is off)."""
-    if not model.has_additive:
-        return np.zeros(shape, dtype=np.float64)
-    gen = stream.generator()
-    return model.additive_mean + np.sqrt(model.additive_var) * gen.standard_normal(shape)

@@ -16,7 +16,7 @@ import numpy as np
 
 # Purpose namespaces for stream paths. Values are arbitrary but frozen:
 # changing them changes every sampled run.
-NS_NOISE = 1       # multiplicative/additive noise during training forwards
+NS_NOISE = 1       # multiplicative noise during training forwards
 NS_SHUFFLE = 2     # per-epoch minibatch permutation
 NS_INIT = 3        # parameter initialization
 NS_EVAL = 4        # Monte Carlo evaluation passes

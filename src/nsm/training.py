@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InitError
-from .layers import (MODE_MEAN, MODE_SAMPLE, BaselineDense, NormalizedHead,
-                     NsmConv, NsmDense)
+from .layers import MODE_MEAN, MODE_SAMPLE
 from .network import Network, check_finite_grads, softmax
 from .rng import NS_EVAL, NS_NOISE, NS_SHUFFLE, RngStream
 
@@ -238,42 +237,23 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
     beta = 1/std(t), bias = -mean(t)/std(t) (so the normalized argument is
     standardized on this batch), then propagate the batch with a sampled
     forward so deeper layers see the distribution they will train on.
-    Applies to stochastic layers, the weight-normalized binary baseline
-    (g, bias), and the head.
+    A normalized layer is one with a scale parameter: beta for stochastic
+    layers and the head, g for the weight-normalized binary baseline. A
+    convolution's positions count as batch entries.
     """
     z = np.asarray(batch, dtype=np.float64)
     z = network._prep(z)
     for idx, layer in enumerate(network.layers):
-        stats = _init_stat(layer, z)
-        if stats is not None:
-            mu, sd, scale_key, bias_key = stats
+        params = layer.params()
+        scale = params.get("beta", params.get("g"))
+        if scale is not None:
+            _, t, _ = layer.project(z)
+            t = t.reshape(-1, t.shape[-1])
+            mu, sd = t.mean(axis=0), t.std(axis=0)
             if np.any(sd == 0.0):
                 raise InitError(f"{layer.name}: zero variance on the init batch")
-            layer.params()[scale_key][...] = 1.0 / sd
-            if bias_key is not None:
-                layer.params()[bias_key][...] = -mu / sd
+            scale[...] = 1.0 / sd
+            if "bias" in params:
+                params["bias"][...] = -mu / sd
         z, _ = layer.forward(z, MODE_SAMPLE, stream.child(idx))
     return network
-
-
-def _init_stat(layer, z):
-    """(mean, std, scale param, bias param) of the init statistic, or None."""
-    if isinstance(layer, (NsmDense, NormalizedHead)):
-        norms = np.sqrt(np.sum(layer.w * layer.w, axis=1))
-        t = (z @ layer.w.T) / norms
-        bias_key = "bias" if "bias" in layer.params() else None
-        return t.mean(axis=0), t.std(axis=0), "beta", bias_key
-    if isinstance(layer, NsmConv):
-        from .layers import im2col
-        wf = layer.w.reshape(layer.w.shape[0], -1)
-        norms = np.sqrt(np.sum(wf * wf, axis=1))
-        patches, _ = im2col(z, layer.w.shape[2], layer.w.shape[3],
-                            layer.stride, layer.pad)
-        t = (patches @ wf.T) / norms          # (B, P, K)
-        flat = t.reshape(-1, t.shape[-1])
-        return flat.mean(axis=0), flat.std(axis=0), "beta", "bias"
-    if isinstance(layer, BaselineDense) and layer.kind == "wnorm-binary-det":
-        norms = np.sqrt(np.sum(layer.w * layer.w, axis=1))
-        t = (z @ layer.w.T) / norms
-        return t.mean(axis=0), t.std(axis=0), "g", "bias"
-    return None

@@ -7,7 +7,7 @@ import pytest
 
 from nsm.analyze import (metrics_equal_excluding_time, read_metrics_csv,
                          save_gradient_log, write_metrics_csv)
-from nsm.checkpoint import load_checkpoint
+from nsm.checkpoint import load_checkpoint, save_checkpoint
 from nsm.checks import CheckResult
 from nsm.cli import main
 from nsm.config import RunConfig, config_lines, parse_config_text, set_key
@@ -87,6 +87,13 @@ class TestConfig:
         assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def half_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("half")
+    assert main(train_argv(out, epochs=1)) == 0
+    return str(out / "model.ckpt")
+
+
 class TestTrain:
 
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -157,6 +164,19 @@ class TestTrain:
             np.nan_to_num(cf["test_error"][-n:], nan=-1.0),
             np.nan_to_num(cr["test_error"], nan=-1.0))
 
+    # one changed setting per leg; each must stop the resume before any output
+    @pytest.mark.parametrize("key,value", [
+        ("preset", "mlp-16-4-2"), ("model", "binary-erf"), ("noise", "gaussian"),
+        ("noise_param", "0.25"), ("site", "synapse"), ("head_bias", "off"),
+        ("seed", "6"), ("optimizer", "adam"), ("dataset", "synthetic:xor-blobs"),
+        ("dim", "25")])
+    def test_resume_rejects_changed_setting(self, key, value, half_run, tmp_path, capsys):
+        out = tmp_path / "resumed"
+        code = main(train_argv(out, epochs=2, **{key: value}) + ["--resume", half_run])
+        assert code == 2
+        assert f"this run has {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_restores_adam_moments(self, tmp_path, capsys):
         kw = dict(optimizer="adam", lr=0.001, epochs=2)
         full, half, resumed = tmp_path / "full", tmp_path / "half", tmp_path / "res"
@@ -219,6 +239,15 @@ def trained(tmp_path_factory):
 
 
 class TestEval:
+
+    def test_missing_descriptor_key_exits_2(self, trained, tmp_path, capsys):
+        desc, params, _ = load_checkpoint(trained)
+        for key in ("preset", "model", "noise", "noise_param", "site",
+                    "head_bias", "seed"):
+            path = str(tmp_path / f"no-{key}.ckpt")
+            save_checkpoint(path, params, {k: v for k, v in desc.items() if k != key})
+            assert main(["eval", "--checkpoint", path]) == 2
+            assert f"no {key!r} entry" in capsys.readouterr().err
 
     def test_deterministic_and_writes_file(self, trained, tmp_path, capsys):
         assert main(["eval", "--checkpoint", trained]) == 0

@@ -11,8 +11,7 @@ import pytest
 from nsm.core import (activation_probability, erf_probability, erf_slope,
                       preactivation, sign_activation)
 from nsm.errors import DegenerateNoiseError, NoiseModelError, NormalizationError
-from nsm.noise import (NoiseModel, a_from_beta, beta_from_noise, sample_additive,
-                       sample_noise)
+from nsm.noise import NoiseModel, a_from_beta, beta_from_noise, sample_noise
 from nsm.rng import NS_NOISE, RngStream
 
 # frozen oracle values: x -> 0.5*(1+erf(x))
@@ -162,12 +161,6 @@ class TestSampleNoise:
         b = sample_noise(m, (64,), RngStream(9).child(NS_NOISE, 4))
         np.testing.assert_array_equal(a, b)
 
-    def test_additive_moments(self):
-        m = NoiseModel.gaussian(1.0, additive_mean=0.5, additive_var=0.04)
-        eta = sample_additive(m, (200000,), RngStream(5).child(NS_NOISE))
-        np.testing.assert_allclose(eta.mean(), 0.5, atol=5e-3)
-        np.testing.assert_allclose(eta.var(), 0.04, atol=2e-3)
-
 
 RATES = [0.0, 1e-300, 0.1, 0.5, 0.7, 1.0 - 2.0 ** -53, 1.0]
 
@@ -301,15 +294,6 @@ class TestActivationProbability:
         p = activation_probability(w, z, a, b, m)
         np.testing.assert_allclose(
             p, [[0.36025739356812762, 0.0054547491821346429]], atol=1e-15)
-
-    def test_additive_only_identity(self):
-        # multiplicative part degenerate but additive noise keeps Var[u] > 0:
-        # P = Phi-like form with mean (w.z)+b+mu_eta and std sqrt(var_eta)
-        w = np.array([[2.0, -1.0]])
-        z = np.array([[1.0, 1.0]])
-        m = NoiseModel.gaussian(0.0, additive_mean=0.1, additive_var=0.36)
-        p = activation_probability(w, z, np.zeros(1), np.array([0.3]), m)
-        np.testing.assert_allclose(p, [[0.99018467137135466]], atol=1e-15)
 
     def test_zero_norm_row_raises(self):
         w = np.array([[0.0, 0.0]])

@@ -463,6 +463,80 @@ class TestNsmConv:
         out2, _ = layer.forward(z, MODE_MEAN, None)
         np.testing.assert_allclose(out2, out1, atol=1e-12)
 
+    def test_beta_and_a_together_rejected(self):
+        with pytest.raises(ConfigError):
+            mk_conv(seed=46, beta=np.ones(3), a=np.zeros(3))
+
+
+NORMALIZED_KINDS = ["dense-neuron", "dense-synapse", "conv", "head", "wnorm-binary-det"]
+
+
+def normalized_case(kind, rng):
+    """One weight-normalized layer of drawn shape, an input, and the output
+    its backward differentiates as a function of the live arrays."""
+    model = (NoiseModel.bernoulli(float(rng.uniform(0.2, 0.8))) if rng.random() < 0.5
+             else NoiseModel.gaussian(float(rng.uniform(0.1, 1.0))))
+    batch, out, fan = (int(v) for v in rng.integers([1, 1, 2], 7))
+    scale, bias = rng.uniform(0.3, 2.0, size=out), 0.3 * rng.normal(size=out)
+    if kind == "conv":
+        c, ksize = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        stride, pad = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+        layer = NsmConv("c", rng.normal(size=(out, c, ksize, ksize)), model, beta=scale,
+                        bias=bias, stride=stride, pad=pad)
+        z = rng.choice([-1.0, 1.0], size=(batch, c) + tuple(rng.integers(ksize, ksize + 5, 2)))
+        return layer, z, lambda x: layer.forward(x, MODE_MEAN, None)[0]
+    w, z = rng.normal(size=(out, fan)), rng.choice([-1.0, 1.0], size=(batch, fan))
+    if kind == "head":
+        layer = NormalizedHead("h", w, beta=scale, bias=bias)
+        return layer, z, lambda x: layer.forward(x, MODE_MEAN, None)[0]
+    if kind == "wnorm-binary-det":
+        layer = BaselineDense("b", kind, w, bias=bias, g=scale)
+        # straight-through: the backward differentiates g t + b inside |u| <= 1
+        window = np.abs(layer.forward(z, MODE_MEAN, None)[1]["u"]) <= 1.0
+        return layer, z, lambda x: window * layer.forward(x, MODE_MEAN, None)[1]["u"]
+    layer = NsmDense("d", w, model, beta=scale, bias=bias, site=kind.split("-")[1])
+    return layer, z, lambda x: layer.forward(x, MODE_MEAN, None)[0]
+
+
+class TestNormalizedLayersOverShapes:
+    """The shared projection and backward, through every layer kind that uses
+    them, over seeded random shapes (conv stride and pad drawn from {1,2}x{0,1})."""
+
+    @pytest.mark.parametrize("draw", range(6))
+    @pytest.mark.parametrize("kind", NORMALIZED_KINDS)
+    def test_orthogonal_invariant_and_finite_differences(self, kind, draw):
+        rng = np.random.default_rng([NORMALIZED_KINDS.index(kind), draw])
+        layer, z, surface = normalized_case(kind, rng)
+        params = layer.params()
+
+        # the weight gradient of a sampled forward is orthogonal per unit
+        out, cache = layer.forward(z, MODE_SAMPLE, RngStream(draw).child(NS_NOISE))
+        grads, _ = layer.backward(cache, rng.normal(size=out.shape))
+        w = layer.w.reshape(layer.w.shape[0], -1)
+        dw = grads["w"].reshape(w.shape)
+        dots = np.abs(np.sum(w * dw, axis=1))
+        assert np.all(dots <= 1e-10 * np.linalg.norm(w, axis=1) * np.linalg.norm(dw, axis=1))
+
+        # the mean forward is invariant under w -> alpha w
+        base = surface(z)
+        for alpha in (1e-3, 0.37, 25.0):
+            keep = layer.w.copy()
+            layer.w *= alpha
+            np.testing.assert_allclose(surface(z), base, rtol=1e-12, atol=1e-12)
+            layer.w[...] = keep
+
+        # finite differences on every parameter and on the input
+        upstream = rng.normal(size=base.shape)
+        _, cache = layer.forward(z, MODE_MEAN, None)
+        grads, dz = layer.backward(cache, upstream)
+        keys = sorted(params)
+
+        def loss():
+            return float(np.sum(upstream * surface(z)))
+
+        assert fd_against(loss, [params[k] for k in keys], [grads[k] for k in keys]) <= 1e-6
+        assert fd_against(loss, [z], [dz], sample=60) <= 1e-6
+
 
 STRIDE_PAD = [(1, 0), (1, 1), (2, 0), (2, 1)]
 
