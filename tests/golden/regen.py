@@ -2,7 +2,9 @@
 
 Each case trains a small model through `nsm train` and is recorded as
 `tests/golden/<case>.csv` (its metrics.csv) plus a SHA-256 digest of its
-final parameters in `tests/golden/params.sha256`. `tests/test_golden.py`
+final parameters in `tests/golden/params.sha256`; a case run with
+`--log-gradients` also records a digest of its grads.npz there, under
+`<case>:grads`. `tests/test_golden.py`
 reruns every case and requires the same metrics, ignoring the `seconds`
 column, and the same digest; it never rewrites these files. Metrics round
 the parameters away, so the digest is what catches a changed last bit.
@@ -53,6 +55,11 @@ CASES = {
                          batch_size=8, eval_every=1, mc_samples=2,
                          init_batch=16, seed=3, model="nsm", optimizer="adam",
                          lr=0.003),
+    # every iteration's weight gradients, through the synapse-site chunked sum
+    "nsm-synapse-gaussian-adam-grads": dict(_MLP, model="nsm", site="synapse",
+                                            noise="gaussian", noise_param=1.0,
+                                            optimizer="adam", lr=0.01,
+                                            log_gradients=True),
 }
 
 # resumed after its first epoch, this case must give the uninterrupted run
@@ -62,21 +69,33 @@ RESUME_CASE = "nsm-neuron-gaussian-adam"
 def train_argv(case: str, out: str, **overrides) -> list[str]:
     argv = ["train", "--out", out]
     for key, value in {**CASES[case], **overrides}.items():
-        argv += [f"--{key.replace('_', '-')}", str(value)]
+        flag = f"--{key.replace('_', '-')}"
+        argv += [flag] if value is True else [flag, str(value)]
     return argv
 
 
-def param_digest(checkpoint: str) -> str:
-    """SHA-256 over every parameter's name, shape and float64 bytes."""
-    from nsm.checkpoint import load_checkpoint
-
-    _, params, _ = load_checkpoint(checkpoint)
+def array_digest(arrays) -> str:
+    """SHA-256 over every array's name, shape and float64 bytes."""
     h = hashlib.sha256()
-    for name in sorted(params):
-        arr = params[name]
+    for name in sorted(arrays):
+        arr = arrays[name]
         h.update(f"{name}{arr.shape}".encode())
         h.update(arr.astype("<f8").tobytes())
     return h.hexdigest()
+
+
+def param_digest(checkpoint: str) -> str:
+    from nsm.checkpoint import load_checkpoint
+
+    return array_digest(load_checkpoint(checkpoint)[1])
+
+
+def grads_digest(out: str) -> str:
+    """Digest of the grads.npz a --log-gradients run wrote into out."""
+    import numpy as np
+
+    with np.load(os.path.join(out, "grads.npz")) as dump:
+        return array_digest(dump)
 
 
 def read_digests() -> dict[str, str]:
@@ -95,14 +114,20 @@ def run(case: str, out: str, **overrides) -> str:
 
 
 def regenerate():
+    from nsm.analyze import metrics_equal_excluding_time
+
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out = os.path.join(tmp, case)
             digest = run(case, out)
-            shutil.copyfile(os.path.join(out, "metrics.csv"),
-                            os.path.join(GOLDEN_DIR, f"{case}.csv"))
+            got, golden = os.path.join(out, "metrics.csv"), os.path.join(GOLDEN_DIR, f"{case}.csv")
+            # an unchanged run keeps its file, recorded seconds and all
+            if not (os.path.exists(golden) and metrics_equal_excluding_time(golden, got)):
+                shutil.copyfile(got, golden)
             lines.append(f"{case} {digest}\n")
+            if CASES[case].get("log_gradients"):
+                lines.append(f"{case}:grads {grads_digest(out)}\n")
     with open(DIGEST_FILE, "w") as f:
         f.writelines(lines)
 

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from nsm.analyze import metrics_equal_excluding_time
-from tests.golden.regen import CASES, GOLDEN_DIR, RESUME_CASE, read_digests, run
+from tests.golden.regen import (CASES, GOLDEN_DIR, RESUME_CASE, grads_digest,
+                                read_digests, run)
 
 
 def golden_csv(case):
@@ -19,6 +20,8 @@ def test_case_reproduces_golden(case, tmp_path, capsys):
     digest = run(case, str(tmp_path))
     assert metrics_equal_excluding_time(golden_csv(case), str(tmp_path / "metrics.csv"))
     assert digest == read_digests()[case]
+    if CASES[case].get("log_gradients"):
+        assert grads_digest(str(tmp_path)) == read_digests()[f"{case}:grads"]
 
 
 def test_resumed_half_way_equals_golden(tmp_path, capsys):
