@@ -15,13 +15,16 @@ Layout (all integers little-endian):
     u32       zlib.crc32 of everything from the magic through the last
               moment payload
 
-Loading verifies magic, version, and CRC (distinct error types), then
-writes parameters in place into an existing network whose shapes must
-match.
+Saving writes a temporary file in the target's directory, fsyncs it and
+renames it over the target. Loading verifies magic, version, and CRC
+(distinct error types), then writes parameters in place into an existing
+network whose shapes must match.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 import zlib
 
@@ -81,9 +84,20 @@ def save_checkpoint(path: str, params: dict[str, np.ndarray],
     for name, arr in moments.items():
         body.append(_pack_array(name, arr))
     blob = b"".join(body)
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    # write beside the target and rename over it, so a failed or killed
+    # write leaves the previous checkpoint whole
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str):

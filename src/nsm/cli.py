@@ -19,8 +19,8 @@ from .network import Network
 from .noise import NoiseModel
 from .presets import NSM_FAMILY, build_network, parse_preset
 from .rng import NS_EVAL, NS_INIT, RngStream
-from .training import (Adam, TrainConfig, TrainState, data_dependent_init,
-                       evaluate_mc, make_optimizer, train)
+from .training import (Adam, TrainConfig, TrainState, batches_done,
+                       data_dependent_init, evaluate_mc, make_optimizer, train)
 
 # config keys exposed as --flags (dashes for underscores)
 _OVERRIDE_KEYS = [
@@ -154,6 +154,7 @@ def cmd_train(args) -> int:
         restore_params(net, params)
         state.epoch = int(desc["epoch"])
         state.iteration = int(desc["iteration"])
+        batches_done(state, len(train_ds))
         _restore_moments(state, moments)
     elif cfg.init_batch > 0:
         n = min(cfg.init_batch, len(train_ds))

@@ -128,8 +128,12 @@ def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
     for lo in range(0, z.shape[0], rows):
         zc = z[lo:lo + rows]
         xi = sample_noise(model, (zc.shape[0],) + w.shape, gen)
-        xi *= w
-        total[lo:lo + rows] = (xi @ zc[:, :, None])[..., 0]
+        if xi.dtype == bool:
+            # a bit-drawn mask: select and sum in one pass, no float copy
+            total[lo:lo + rows] = np.einsum("boi,oi,bi->bo", xi, w, zc)
+        else:
+            xi *= w
+            total[lo:lo + rows] = (xi @ zc[:, :, None])[..., 0]
     return total
 
 

@@ -77,13 +77,43 @@ def a_from_beta(model: NoiseModel, beta) -> np.ndarray:
     return np.asarray(beta, dtype=np.float64) * model.scale - model.mean
 
 
-def sample_noise(model: NoiseModel, shape,
+def dyadic_bits(p: float) -> int:
+    """The smallest m <= 8 with p 2^m an integer, for 0 < p < 1; else 0."""
+    if 0.0 < p < 1.0:
+        for m in range(1, 9):
+            if (p * 2.0 ** m).is_integer():
+                return m
+    return 0
+
+
+def _bit_mask(gen: np.random.Generator, shape, m: int, p: float) -> np.ndarray:
+    """Bernoulli(p) mask decided by m raw bits per draw, p = k / 2^m.
+
+    Each leading row takes ceil(n m / 64) whole words (n draws per row),
+    read as a bit string, least significant bit of each word first; draw i
+    of the row is the m-bit group starting at bit i m, read with its first
+    bit least significant, and fires when that value is below k.
+    """
+    rows, n = (shape[0], math.prod(shape[1:])) if shape else (1, 1)
+    words = gen.bit_generator.random_raw((rows, -(-n * m // 64))).view(np.uint8)
+    if m == 1:
+        # k = 1: a draw fires on a zero bit, so unpack the inverted bits
+        return np.unpackbits(~words, axis=1, count=n, bitorder="little").view(bool).reshape(shape)
+    bits = np.unpackbits(words, axis=1, count=n * m, bitorder="little").reshape(rows, n, m)
+    groups = np.packbits(bits, axis=2, bitorder="little")[..., 0]
+    return (groups < round(p * 2 ** m)).reshape(shape)
+
+
+def sample_noise(model: NoiseModel, shape: tuple,
                  source: RngStream | np.random.Generator) -> np.ndarray:
     """Draw the multiplicative noise xi with the given shape.
 
-    Gaussian: 1 + sqrt(sigma^2) * N(0, 1). Bernoulli: {0.0, 1.0} at rate p.
-    source is a stream (a fresh generator at its start) or an open
-    generator; draws from one generator follow each other in C order, so a
+    Gaussian: 1 + sqrt(sigma^2) * N(0, 1). Bernoulli at a dyadic rate
+    p = k / 2^m (m <= 8, 0 < p < 1): a bool mask decided by m raw bits per
+    draw (see _bit_mask). Bernoulli at any other rate: {0.0, 1.0} decided by
+    one raw word per draw. source is a stream (a fresh generator at its
+    start) or an open generator; draws from one generator follow each other
+    in C order, and the bit path takes whole words per leading row, so a
     shape drawn in pieces along its first axis gets exactly the values of
     one draw of the whole. Zero-variance models are fine here (they return
     constants); only the closed-form probability path rejects them.
@@ -93,6 +123,9 @@ def sample_noise(model: NoiseModel, shape,
         if model.param == 0.0:
             return np.ones(shape, dtype=np.float64)
         return 1.0 + np.sqrt(model.param) * gen.standard_normal(shape)
+    m = dyadic_bits(model.param)
+    if m:
+        return _bit_mask(gen, tuple(shape), m, model.param)
     # the mask of gen.random(shape) < p, decided on the raw words random()
     # is made from: random() = (word >> 11) 2^-53 < p exactly when
     # word < ceil(p 2^53) << 11. At p = 1 that bound is 2^64, out of range,

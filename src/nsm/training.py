@@ -127,7 +127,7 @@ class TrainState:
     config: TrainConfig
     seed: int
     mode: str = MODE_SAMPLE          # MODE_CONCRETE for the relaxed estimator
-    epoch: int = 0                   # next epoch to run
+    epoch: int = 0                   # next epoch to run, or to finish after a cut
     iteration: int = 0               # minibatches consumed so far
     records: list = field(default_factory=list)
 
@@ -150,6 +150,21 @@ def train_batch(state: TrainState, inputs, labels):
     return loss, grads, caches
 
 
+def batches_done(state: TrainState, n: int) -> int:
+    """Batches of the current epoch's permutation of n examples already run.
+
+    Nonzero only for a run cut mid-epoch by max_iterations; its resume
+    continues at the next batch of the same permutation.
+    """
+    per_epoch = n // state.config.batch_size
+    done = state.iteration - state.epoch * per_epoch
+    if not 0 <= done <= per_epoch:
+        raise ConfigError(
+            f"iteration {state.iteration} does not fall in epoch {state.epoch} at "
+            f"{per_epoch} batches per epoch (batch size or training set changed?)")
+    return done
+
+
 def train_epoch(state: TrainState, train_inputs, train_labels,
                 test_inputs=None, test_labels=None,
                 grad_log: dict | None = None) -> list[MetricsRecord]:
@@ -162,9 +177,11 @@ def train_epoch(state: TrainState, train_inputs, train_labels,
     net, cfg = state.network, state.config
     n = train_inputs.shape[0]
     order = state.stream.child(NS_SHUFFLE, state.epoch).generator().permutation(n)
+    ended = state.epoch + 1
     new_records = []
     t0 = time.monotonic()
-    for start in range(0, n - n % cfg.batch_size, cfg.batch_size):
+    for start in range(batches_done(state, n) * cfg.batch_size, n - n % cfg.batch_size,
+                       cfg.batch_size):
         if cfg.max_iterations is not None and state.iteration >= cfg.max_iterations:
             break
         idx = order[start:start + cfg.batch_size]
@@ -182,12 +199,13 @@ def train_epoch(state: TrainState, train_inputs, train_labels,
                     float(v) for v in np.percentile(stat, [15.0, 50.0, 85.0]))
         new_records.append(rec)
         state.records.append(rec)   # commit per iteration so a blowup keeps them
-    state.epoch += 1
+    else:
+        state.epoch = ended         # not on a max_iterations cut
     if (test_inputs is not None and new_records
-            and (cfg.eval_every is None or state.epoch % cfg.eval_every == 0
-                 or state.epoch == cfg.epochs)):
+            and (cfg.eval_every is None or ended % cfg.eval_every == 0
+                 or ended == cfg.epochs)):
         err = evaluate_mc(net, test_inputs, test_labels, cfg.mc_samples,
-                          state.stream.child(NS_EVAL, state.epoch))
+                          state.stream.child(NS_EVAL, ended))
         new_records[-1].test_error = err
     return new_records
 

@@ -177,6 +177,15 @@ class TestTrain:
         assert f"this run has {key} = " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_resume_with_other_batches_per_epoch_exits_2(self, tmp_path, capsys):
+        half, out = tmp_path / "half", tmp_path / "resumed"
+        assert main(train_argv(half, max_iterations=2)) == 0   # 2 of 4 batches
+        code = main(train_argv(out, epochs=2, batch_size=64) +
+                    ["--resume", str(half / "model.ckpt")])
+        assert code == 2
+        assert "1 batches per epoch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_restores_adam_moments(self, tmp_path, capsys):
         kw = dict(optimizer="adam", lr=0.001, epochs=2)
         full, half, resumed = tmp_path / "full", tmp_path / "half", tmp_path / "res"

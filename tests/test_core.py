@@ -11,7 +11,7 @@ import pytest
 from nsm.core import (activation_probability, erf_probability, erf_slope,
                       preactivation, sign_activation)
 from nsm.errors import DegenerateNoiseError, NoiseModelError, NormalizationError
-from nsm.noise import NoiseModel, a_from_beta, beta_from_noise, sample_noise
+from nsm.noise import NoiseModel, a_from_beta, beta_from_noise, dyadic_bits, sample_noise
 from nsm.rng import NS_NOISE, RngStream
 
 # frozen oracle values: x -> 0.5*(1+erf(x))
@@ -162,7 +162,10 @@ class TestSampleNoise:
         np.testing.assert_array_equal(a, b)
 
 
-RATES = [0.0, 1e-300, 0.1, 0.5, 0.7, 1.0 - 2.0 ** -53, 1.0]
+# rates on the word path: not k / 2^m with m <= 8, or at an end of [0, 1]
+RATES = [0.0, 1e-300, 0.1, 0.7, 1.0 - 2.0 ** -53, 1.0]
+# rates on the bit path, with their m
+DYADIC = [(0.5, 1), (0.25, 2), (0.375, 3)]
 
 
 class _Words:
@@ -177,7 +180,8 @@ class _Words:
 
 
 class TestExactDraws:
-    """Bernoulli masks are gen.random(shape) < p, and chunking keeps every draw."""
+    """Off the bit path, Bernoulli masks are gen.random(shape) < p, and
+    chunking keeps every draw."""
 
     @pytest.mark.parametrize("p", RATES)
     def test_bernoulli_mask_is_uniform_threshold(self, p):
@@ -210,6 +214,78 @@ class TestExactDraws:
         np.testing.assert_array_equal(np.concatenate(parts), whole)
         # both generators stand at the same place afterwards
         np.testing.assert_array_equal(gen.random(8), one.random(8))
+
+
+def bit_mask_reference(words, rows, n, m, k):
+    """Draw i of a row fires when bits [i m, i m + m) of the row's words,
+    least significant bit first, read as an integer, are below k."""
+    per_row = len(words) // rows
+    out = np.zeros((rows, n), dtype=bool)
+    for r in range(rows):
+        bits = sum(int(wd) << (64 * j) for j, wd in enumerate(words[r * per_row:(r + 1) * per_row]))
+        for i in range(n):
+            out[r, i] = (bits >> (i * m)) & ((1 << m) - 1) < k
+    return out
+
+
+class TestBitDraws:
+    """At dyadic p = k / 2^m each Bernoulli draw spends m raw bits."""
+
+    def test_dyadic_bits(self):
+        assert [dyadic_bits(p) for p, _ in DYADIC] == [m for _, m in DYADIC]
+        assert dyadic_bits(1.0 / 256) == 8 and dyadic_bits(255.0 / 256) == 8
+        assert [dyadic_bits(p) for p in RATES + [1.0 / 512]] == [0] * (len(RATES) + 1)
+
+    @pytest.mark.parametrize("p,m", DYADIC)
+    @pytest.mark.parametrize("shape", [(3, 50), (4, 5, 13), (130,)])
+    def test_words_to_mask(self, p, m, shape):
+        rows, n = shape[0], int(np.prod(shape[1:]))
+        per_row = -(-n * m // 64)
+        words = np.random.default_rng(31).integers(0, 2 ** 64, size=rows * per_row,
+                                                   dtype=np.uint64, endpoint=False)
+        words[:2] = [0, 2 ** 64 - 1]
+        got = sample_noise(NoiseModel.bernoulli(p), shape, _Words(words))
+        assert got.dtype == bool and got.shape == shape
+        want = bit_mask_reference(words, rows, n, m, round(p * 2 ** m))
+        np.testing.assert_array_equal(got, want.reshape(shape))
+
+    @pytest.mark.parametrize("p,m", DYADIC)
+    @pytest.mark.parametrize("shape,pieces", [((7, 5, 3), (1, 4, 2)),
+                                              ((10, 300, 300), (1, 6, 3))])
+    def test_chunked_draws_equal_one_draw(self, p, m, shape, pieces):
+        model = NoiseModel.bernoulli(p)
+        stream = RngStream(6).child(NS_NOISE, 5)
+        one = stream.generator()
+        whole = sample_noise(model, shape, one)
+        gen = stream.generator()
+        parts = [sample_noise(model, (n,) + shape[1:], gen) for n in pieces]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        np.testing.assert_array_equal(gen.random(8), one.random(8))
+
+    @pytest.mark.parametrize("p,m", DYADIC)
+    def test_rate_and_adjacent_independence(self, p, m):
+        # 2^21 draws; every bound is 5 binomial standard errors
+        xi = sample_noise(NoiseModel.bernoulli(p), (2 ** 11, 2 ** 10),
+                          RngStream(7).child(NS_NOISE, m)).reshape(-1)
+        n = xi.size
+        assert abs(xi.mean() - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+        both = np.mean(xi[:-1] & xi[1:])
+        q = p * p
+        assert abs(both - q) <= 5.0 * np.sqrt(q * (1.0 - q) / (n - 1))
+
+    def test_word_bits_are_uniform_and_independent(self):
+        # at p = 1/2 a row of 64 draws is one word: column j is its bit j
+        from scipy.stats import chi2
+
+        xi = sample_noise(NoiseModel.bernoulli(0.5), (2 ** 21, 64),
+                          RngStream(8).child(NS_NOISE))
+        n = xi.shape[0]
+        ones = xi.sum(axis=0)
+        stat = np.sum((2.0 * ones - n) ** 2 / n)
+        assert stat <= chi2.isf(1e-6, 64)
+        flips = (xi[:, :-1] ^ xi[:, 1:]).sum(axis=0)
+        stat = np.sum((2.0 * flips - n) ** 2 / n)
+        assert stat <= chi2.isf(1e-6, 63)
 
 
 class TestPreactivation:
@@ -260,16 +336,17 @@ class TestPreactivation:
         a = np.array([0.2, -0.1])
         b = np.array([0.0, 0.3])
         m = NoiseModel.bernoulli(0.5)
-        acc_n = np.zeros((1, 2))
-        acc_s = np.zeros((1, 2))
         root = RngStream(4).child(NS_NOISE)
-        n = 40000
-        for i in range(n):
-            acc_n += preactivation(w, z, a, b, m, root.child(2 * i), site="neuron")
-            acc_s += preactivation(w, z, a, b, m, root.child(2 * i + 1), site="synapse")
+        # one batched draw per site; u's sd is 0.5 ||w|| at either site, so
+        # at this n the bound is over 5 standard errors of each mean
+        n = 400_000
+        assert 0.5 * np.linalg.norm(w, axis=1).max() / np.sqrt(n) <= 2e-2 / 5
+        zs = np.repeat(z, n, axis=0)
+        u_n = preactivation(w, zs, a, b, m, root.child(0), site="neuron")
+        u_s = preactivation(w, zs, a, b, m, root.child(1), site="synapse")
         want = (m.mean + a) * (z @ w.T) + b
-        np.testing.assert_allclose(acc_n / n, want, atol=2e-2)
-        np.testing.assert_allclose(acc_s / n, want, atol=2e-2)
+        np.testing.assert_allclose(u_n.mean(axis=0), want[0], atol=2e-2)
+        np.testing.assert_allclose(u_s.mean(axis=0), want[0], atol=2e-2)
 
 
 class TestActivationProbability:

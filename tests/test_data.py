@@ -384,6 +384,38 @@ class TestCheckpoint:
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import nsm.checkpoint
+
+        net, params, path = self.roundtrip(tmp_path)
+
+        class HalfWritten:
+            """A file whose first write stops half-way with a full disk."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(nsm.checkpoint, "open",
+                            lambda p, mode: HalfWritten(open(p, mode)), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, {k: v + 1.0 for k, v in params.items()}, {"epoch": 4})
+        monkeypatch.undo()
+        desc, loaded, _ = load_checkpoint(path)
+        assert desc["epoch"] == "3"
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 64)

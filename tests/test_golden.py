@@ -24,9 +24,9 @@ def test_case_reproduces_golden(case, tmp_path, capsys):
         assert grads_digest(str(tmp_path)) == read_digests()[f"{case}:grads"]
 
 
-def test_resumed_half_way_equals_golden(tmp_path, capsys):
+def resume_matches_golden(tmp_path, **cut):
     half, resumed = tmp_path / "half", tmp_path / "resumed"
-    run(RESUME_CASE, str(half), epochs=1)
+    run(RESUME_CASE, str(half), **cut)
     digest = run(RESUME_CASE, str(resumed), resume=str(half / "model.ckpt"))
     assert digest == read_digests()[RESUME_CASE]
     # the resumed run records only its own iterations: the golden's tail
@@ -36,3 +36,13 @@ def test_resumed_half_way_equals_golden(tmp_path, capsys):
     tail.write_text(want[0] + "".join(want[len(want) - len(got) + 1:]))
     assert len(got) < len(want)
     assert metrics_equal_excluding_time(str(tail), str(resumed / "metrics.csv"))
+
+
+def test_resumed_half_way_equals_golden(tmp_path, capsys):
+    resume_matches_golden(tmp_path, epochs=1)
+
+
+@pytest.mark.parametrize("cut", [3, 9])
+def test_resumed_mid_epoch_equals_golden(cut, tmp_path, capsys):
+    # six batches per epoch: iteration 3 is inside the first epoch, 9 inside the second
+    resume_matches_golden(tmp_path, max_iterations=cut)
