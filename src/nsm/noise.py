@@ -98,7 +98,8 @@ def _bit_mask(gen: np.random.Generator, shape, m: int, p: float) -> np.ndarray:
     words = gen.bit_generator.random_raw((rows, -(-n * m // 64))).view(np.uint8)
     if m == 1:
         # k = 1: a draw fires on a zero bit, so unpack the inverted bits
-        return np.unpackbits(~words, axis=1, count=n, bitorder="little").view(bool).reshape(shape)
+        bits = np.unpackbits(~words, axis=1, count=n, bitorder="little")
+        return bits.view(bool).reshape(shape)
     bits = np.unpackbits(words, axis=1, count=n * m, bitorder="little").reshape(rows, n, m)
     groups = np.packbits(bits, axis=2, bitorder="little")[..., 0]
     return (groups < round(p * 2 ** m)).reshape(shape)

@@ -121,7 +121,8 @@ def regenerate():
         for case in CASES:
             out = os.path.join(tmp, case)
             digest = run(case, out)
-            got, golden = os.path.join(out, "metrics.csv"), os.path.join(GOLDEN_DIR, f"{case}.csv")
+            got = os.path.join(out, "metrics.csv")
+            golden = os.path.join(GOLDEN_DIR, f"{case}.csv")
             # an unchanged run keeps its file, recorded seconds and all
             if not (os.path.exists(golden) and metrics_equal_excluding_time(golden, got)):
                 shutil.copyfile(got, golden)

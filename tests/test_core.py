@@ -222,7 +222,8 @@ def bit_mask_reference(words, rows, n, m, k):
     per_row = len(words) // rows
     out = np.zeros((rows, n), dtype=bool)
     for r in range(rows):
-        bits = sum(int(wd) << (64 * j) for j, wd in enumerate(words[r * per_row:(r + 1) * per_row]))
+        row = words[r * per_row:(r + 1) * per_row]
+        bits = sum(int(wd) << (64 * j) for j, wd in enumerate(row))
         for i in range(n):
             out[r, i] = (bits >> (i * m)) & ((1 << m) - 1) < k
     return out
