@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,33 +20,32 @@ from .network import Network
 from .noise import NoiseModel
 from .presets import NSM_FAMILY, build_network, parse_preset
 from .rng import NS_EVAL, NS_INIT, RngStream
-from .training import (Adam, TrainConfig, TrainState, batches_done,
+from .training import (TrainConfig, TrainState, batches_done,
                        data_dependent_init, evaluate_mc, make_optimizer, train)
 
-# config keys exposed as --flags (dashes for underscores)
-_OVERRIDE_KEYS = [
-    "preset", "model", "dataset", "data_dir", "noise", "noise_param", "site",
-    "epochs", "batch_size", "optimizer", "lr", "adam_beta1", "adam_beta2",
-    "adam_eps", "decay_start_epoch", "late_beta1", "max_iterations",
-    "eval_every", "mc_samples", "seed", "head_bias", "init_batch",
-    "record_percentiles", "dim", "train_size", "test_size",
-]
+# every RunConfig field is a train flag (dashes for underscores); eval takes
+# the model from the checkpoint and only these from the command line
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+_EVAL_KEYS = ("dataset", "data_dir", "seed", "mc_samples", "dim", "train_size",
+              "test_size")
 
 
-def _add_override_flags(parser: argparse.ArgumentParser):
-    for key in _OVERRIDE_KEYS:
+def _add_override_flags(parser: argparse.ArgumentParser, keys):
+    for key in keys:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
+def _apply_overrides(cfg: RunConfig, args, keys) -> RunConfig:
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
-            set_key(cfg, key, str(value))
+            set_key(cfg, key, value)
     return cfg.validate()
+
+
+def _resolve_config(args) -> RunConfig:
+    cfg = load_config(args.config) if args.config else RunConfig()
+    return _apply_overrides(cfg, args, _CONFIG_KEYS)
 
 
 def _noise_model(cfg: RunConfig) -> NoiseModel:
@@ -103,31 +103,35 @@ _MODEL_KEYS = ("preset", "model", "noise", "noise_param", "site", "head_bias", "
 _RESUME_KEYS = _MODEL_KEYS + ("optimizer", "dataset", "dim")
 
 
-def _require(desc: dict, keys, path: str):
-    for key in keys:
+def _checkpoint_config(desc: dict, required, path: str) -> RunConfig:
+    """RunConfig from a checkpoint descriptor: every entry that names a
+    config field is parsed as that field, the rest keep their defaults."""
+    for key in required:
         if key not in desc:
             raise ConfigError(f"{path}: checkpoint descriptor has no {key!r} entry")
+    cfg = RunConfig()
+    for key, value in desc.items():
+        if key in _CONFIG_KEYS:
+            set_key(cfg, key, value, where=path)
+    return cfg
 
 
-def _moments(state: TrainState) -> dict:
-    opt = state.optimizer
-    if not isinstance(opt, Adam):
+def _moments(optimizer) -> dict:
+    state = optimizer.state()   # {} for SGD; Adam: t, m, v
+    if not state:
         return {}
-    out = {"t": np.array([float(opt.t)])}
-    for name, arr in opt.m.items():
-        out[f"m/{name}"] = arr
-    for name, arr in opt.v.items():
-        out[f"v/{name}"] = arr
+    out = {"t": np.array([float(state["t"])])}
+    out.update({f"m/{name}": arr for name, arr in state["m"].items()})
+    out.update({f"v/{name}": arr for name, arr in state["v"].items()})
     return out
 
 
-def _restore_moments(state: TrainState, moments: dict):
-    opt = state.optimizer
-    if not isinstance(opt, Adam) or not moments:
+def _restore_moments(optimizer, moments: dict):
+    if not moments:
         return
     m = {k[2:]: v for k, v in moments.items() if k.startswith("m/")}
     v = {k[2:]: v for k, v in moments.items() if k.startswith("v/")}
-    opt.load_state({"t": int(moments["t"][0]), "m": m, "v": v})
+    optimizer.load_state({"t": moments["t"][0], "m": m, "v": v})
 
 
 def build_from_config(cfg: RunConfig) -> Network:
@@ -145,17 +149,18 @@ def cmd_train(args) -> int:
                        mode=MODE_CONCRETE if cfg.model == "binconcrete" else MODE_SAMPLE)
     if args.resume:
         desc, params, moments = load_checkpoint(args.resume)
-        _require(desc, _RESUME_KEYS + ("epoch", "iteration"), args.resume)
-        run_desc = _descriptor(cfg, state)
+        saved = _checkpoint_config(desc, _RESUME_KEYS + ("epoch", "iteration"),
+                                   args.resume)
         for key in _RESUME_KEYS:
-            if desc[key] != run_desc[key]:
-                raise ConfigError(f"{args.resume}: checkpoint has {key} = {desc[key]}, "
-                                  f"this run has {key} = {run_desc[key]}")
+            theirs, ours = getattr(saved, key), getattr(cfg, key)
+            if theirs != ours:
+                raise ConfigError(f"{args.resume}: checkpoint has {key} = {theirs}, "
+                                  f"this run has {key} = {ours}")
         restore_params(net, params)
         state.epoch = int(desc["epoch"])
         state.iteration = int(desc["iteration"])
         batches_done(state, len(train_ds))
-        _restore_moments(state, moments)
+        _restore_moments(state.optimizer, moments)
     elif cfg.init_batch > 0:
         n = min(cfg.init_batch, len(train_ds))
         data_dependent_init(net, train_ds.inputs[:n],
@@ -170,7 +175,7 @@ def cmd_train(args) -> int:
         blew_up = e   # keep the partial artifacts below, then exit nonzero
     analyze_mod.write_metrics_csv(os.path.join(args.out, "metrics.csv"), state.records)
     save_checkpoint(os.path.join(args.out, "model.ckpt"), net.params(),
-                    _descriptor(cfg, state), _moments(state))
+                    _descriptor(cfg, state), _moments(state.optimizer))
     if grad_log:
         analyze_mod.save_gradient_log(os.path.join(args.out, "grads.npz"), grad_log)
     with open(os.path.join(args.out, "config.txt"), "w") as f:
@@ -199,18 +204,8 @@ def _apply_scale(net: Network, alpha: float, model: str):
 
 def cmd_eval(args) -> int:
     desc, params, _ = load_checkpoint(args.checkpoint)
-    _require(desc, _MODEL_KEYS, args.checkpoint)
-    cfg = RunConfig(preset=desc["preset"], model=desc["model"], noise=desc["noise"],
-                    noise_param=float(desc["noise_param"]), site=desc["site"],
-                    head_bias=desc["head_bias"] == "on", seed=int(desc["seed"]),
-                    dataset=desc.get("dataset", "synthetic:two-gaussians"),
-                    dim=int(desc.get("dim", 16)))
-    for key in ("dataset", "data_dir", "seed", "mc_samples", "dim",
-                "train_size", "test_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            set_key(cfg, key, str(value))
-    cfg.validate()
+    cfg = _apply_overrides(_checkpoint_config(desc, _MODEL_KEYS, args.checkpoint),
+                           args, _EVAL_KEYS)
     net = build_from_config(cfg)
     restore_params(net, params)
     if args.scale is not None:
@@ -302,20 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.add_argument("--log-gradients", action="store_true",
                          help="dump per-iteration weight gradients to grads.npz")
-    _add_override_flags(p_train)
+    _add_override_flags(p_train, _CONFIG_KEYS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--scale", type=float,
                         help="multiply every weight matrix by this factor first")
-    p_eval.add_argument("--mc-samples", dest="mc_samples", default=None)
-    p_eval.add_argument("--seed", default=None)
-    p_eval.add_argument("--dataset", default=None)
-    p_eval.add_argument("--data-dir", dest="data_dir", default=None)
-    p_eval.add_argument("--dim", default=None)
-    p_eval.add_argument("--train-size", dest="train_size", default=None)
-    p_eval.add_argument("--test-size", dest="test_size", default=None)
+    _add_override_flags(p_eval, _EVAL_KEYS)
     p_eval.add_argument("--out", help="directory for eval.txt")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -18,7 +18,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(text)   # set_key names the line and the key
 
 
 @dataclass
@@ -57,6 +57,10 @@ class RunConfig:
             raise ConfigError("batch_size must be positive")
         if self.mc_samples <= 0:
             raise ConfigError("mc_samples must be positive")
+        if self.eval_every < 1:
+            raise ConfigError("eval_every must be >= 1")
+        if self.test_size < 1:
+            raise ConfigError("test_size must be >= 1")
         if self.noise not in ("gaussian", "bernoulli"):
             raise ConfigError(f"unknown noise kind {self.noise!r}")
         if self.site not in ("neuron", "synapse"):

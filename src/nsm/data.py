@@ -1,5 +1,5 @@
-"""Datasets: IDX files, binarization, event frames, synthetic generators,
-the 8x8 digit sets.
+"""Datasets: IDX files, binarization, synthetic generators, the 8x8 digit
+sets.
 
 All training inputs are sign-binary (+-1) float64 arrays; labels are int64
 class indices. LabeledDataset validates both at construction.
@@ -110,80 +110,6 @@ def load_mnist_dir(root: str, kind: str = "train", conv: bool = False) -> Labele
     return LabeledDataset(x, labels, 10)
 
 
-def events_to_frames(events: np.ndarray, num_frames: int = 10,
-                     height: int = 34, width: int = 34) -> np.ndarray:
-    """Accumulate an event stream into {0, 1} occupancy frames.
-
-    events: (N, 4) rows (t, x, y, polarity). The recording span [0, max_t]
-    is cut into num_frames equal slices of length max_t/num_frames; an
-    event lands in floor(t / frame_len), with t == max_t assigned to the
-    last frame. Only ON events (polarity > 0) are kept. A pixel is 1 in a
-    frame if at least one kept event hit it there. Output is independent of
-    the ordering of rows. Returns (num_frames, height, width).
-    """
-    events = np.asarray(events, dtype=np.float64)
-    frames = np.zeros((num_frames, height, width), dtype=np.float64)
-    if events.size == 0:
-        return frames
-    if events.ndim != 2 or events.shape[1] != 4:
-        raise DataError(f"events must be (N, 4) rows (t, x, y, polarity), got {events.shape}")
-    t = events[:, 0]
-    if np.any(t < 0):
-        raise DataError("negative event timestamp")
-    max_t = t.max()
-    if max_t == 0:
-        idx = np.zeros(len(t), dtype=np.int64)
-    else:
-        frame_len = max_t / num_frames
-        idx = np.minimum((t / frame_len).astype(np.int64), num_frames - 1)
-    on = events[:, 3] > 0
-    xs = events[:, 1].astype(np.int64)
-    ys = events[:, 2].astype(np.int64)
-    if np.any((xs < 0) | (xs >= width) | (ys < 0) | (ys >= height)):
-        raise DataError("event coordinates outside the sensor")
-    frames[idx[on], ys[on], xs[on]] = 1.0
-    return frames
-
-
-def frames_to_signs(frames: np.ndarray) -> np.ndarray:
-    """{0, 1} occupancy frames -> the +-1 convention the networks consume."""
-    return 2.0 * np.asarray(frames, dtype=np.float64) - 1.0
-
-
-def load_events_csv(path: str) -> np.ndarray:
-    """Event file with columns x,y,t,polarity -> (N, 4) rows (t, x, y, p).
-
-    A first line that fails to parse as numbers is treated as a header.
-    """
-    rows = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected x,y,t,polarity")
-            try:
-                x, y, t, p = (float(v) for v in parts)
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise DataError(f"{path}:{lineno}: non-numeric event row")
-            rows.append((t, x, y, p))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-
-
-def load_events_binary(path: str) -> np.ndarray:
-    """Flat little-endian u32 quadruples (x, y, t, polarity) -> (t, x, y, p)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) % 16 != 0:
-        raise DataError(f"{path}: length {len(blob)} is not a multiple of 16")
-    raw = np.frombuffer(blob, dtype="<u4").reshape(-1, 4).astype(np.float64)
-    return raw[:, [2, 0, 1, 3]]
-
-
 def synthetic_dataset(kind: str, n: int, seed: int, dim: int = 16,
                       for_conv: bool = False) -> LabeledDataset:
     """Seeded synthetic binary classification sets.
@@ -201,6 +127,8 @@ def synthetic_dataset(kind: str, n: int, seed: int, dim: int = 16,
         raw = means + gen.standard_normal((n, dim)) * 0.5
         x = np.where(raw > 0.0, 1.0, -1.0)
     elif kind == "xor-blobs":
+        if dim < 2:
+            raise DataError(f"xor-blobs needs dim >= 2, got {dim}")
         a = gen.integers(0, 2, size=n)
         b = (a ^ labels).astype(np.int64)
         rest = np.where(gen.random((n, dim - 2)) < 0.5, 1.0, -1.0)

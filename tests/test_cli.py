@@ -52,11 +52,11 @@ class TestConfig:
             parse_config_text("learning_rate = 0.1\n")
 
     def test_bad_value(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 1: bad value 'soon' for epochs"):
             parse_config_text("epochs = soon\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 1: bad value 'maybe' for head_bias"):
             parse_config_text("head_bias = maybe\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="line 1: expected key = value"):
             parse_config_text("just a line\n")
 
     def test_canonical_echo_roundtrips(self):
@@ -230,6 +230,18 @@ class TestTrain:
         assert (out / "metrics.csv").exists()
         assert read_metrics_csv(str(out / "metrics.csv"))["loss"].size == 2
 
+    # each of these would fail only after a whole epoch, so it must stop first
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(eval_every=0), "eval_every must be >= 1"),
+        (dict(test_size=0), "test_size must be >= 1"),
+        (dict(dataset="synthetic:xor-blobs", dim=1), "xor-blobs needs dim >= 2")])
+    def test_bad_setting_exits_2_before_output(self, overrides, message,
+                                               tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(train_argv(out, **overrides)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_other_models_and_digits_smoke(self, tmp_path, capsys):
         for model in ("stnn", "binconcrete", "binary-det"):
             out = tmp_path / model
@@ -257,6 +269,32 @@ class TestEval:
             save_checkpoint(path, params, {k: v for k, v in desc.items() if k != key})
             assert main(["eval", "--checkpoint", path]) == 2
             assert f"no {key!r} entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "abc"), ("noise_param", "x"), ("dim", "1.5"), ("head_bias", "maybe")])
+    def test_malformed_descriptor_value_exits_2(self, key, value, trained,
+                                                tmp_path, capsys):
+        desc, params, _ = load_checkpoint(trained)
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, params, {**desc, key: value})
+        assert main(["eval", "--checkpoint", path]) == 2
+        assert f"{path}: bad value {value!r} for {key}" in capsys.readouterr().err
+
+    def test_descriptor_without_dataset_or_dim(self, trained, tmp_path, capsys):
+        # older checkpoints carry neither; eval falls back to two-gaussians/16
+        desc, params, _ = load_checkpoint(trained)
+        assert (desc["dataset"], desc["dim"]) == ("synthetic:two-gaussians", "16")
+        old = str(tmp_path / "old.ckpt")
+        save_checkpoint(old, params, {k: v for k, v in desc.items()
+                                      if k not in ("dataset", "dim")})
+        assert main(["eval", "--checkpoint", trained]) == 0
+        current = last_eval_line(capsys)
+        assert main(["eval", "--checkpoint", old]) == 0
+        assert last_eval_line(capsys) == current
+
+    def test_zero_test_size_exits_2(self, trained, capsys):
+        assert main(["eval", "--checkpoint", trained, "--test-size", "0"]) == 2
+        assert "test_size must be >= 1" in capsys.readouterr().err
 
     def test_deterministic_and_writes_file(self, trained, tmp_path, capsys):
         assert main(["eval", "--checkpoint", trained]) == 0

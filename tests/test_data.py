@@ -1,6 +1,5 @@
-"""Dataset plumbing: IDX parsing, binarization, event-stream framing,
-synthetic generators, the digit sets and their split, checkpoints, and
-metrics CSV.
+"""Dataset plumbing: IDX parsing, binarization, synthetic generators, the
+digit sets and their split, checkpoints, and metrics CSV.
 """
 
 import gzip
@@ -14,10 +13,8 @@ from nsm.analyze import (METRICS_HEADER, metrics_equal_excluding_time,
                          read_metrics_csv, write_metrics_csv)
 from nsm.checkpoint import (load_checkpoint, restore_params, save_checkpoint)
 from nsm.data import (GLYPH_SAMPLES, LabeledDataset, binarize_sign,
-                      binarize_unit, digit_glyphs_dataset, events_to_frames,
-                      frames_to_signs, load_digits_dataset,
-                      load_events_binary, load_events_csv, load_idx,
-                      load_mnist_dir, synthetic_dataset)
+                      binarize_unit, digit_glyphs_dataset, load_digits_dataset,
+                      load_idx, load_mnist_dir, synthetic_dataset)
 from nsm.errors import (CheckpointCorruptError, CheckpointError,
                         CheckpointVersionError, DataError)
 from nsm.training import MetricsRecord
@@ -117,119 +114,6 @@ class TestMnistDir:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(DataError):
             load_mnist_dir(str(tmp_path), "train")
-
-
-class TestEventsToFrames:
-
-    def test_hand_trace(self):
-        # span 10 cut into 2 slices of 5: t=0 -> frame 0; t=5 and the
-        # boundary t=10 -> frame 1; the OFF event is dropped
-        events = np.array([
-            [0.0, 0, 0, 1],
-            [5.0, 2, 1, 1],
-            [10.0, 1, 2, 1],
-            [4.0, 2, 2, 0],
-        ])
-        frames = events_to_frames(events, num_frames=2, height=3, width=3)
-        want = np.zeros((2, 3, 3))
-        want[0, 0, 0] = 1.0
-        want[1, 1, 2] = 1.0
-        want[1, 2, 1] = 1.0
-        np.testing.assert_array_equal(frames, want)
-
-    def test_output_is_occupancy(self):
-        # repeated hits saturate at 1
-        events = np.array([[0.0, 1, 1, 1]] * 5 + [[3.0, 1, 1, 1]])
-        frames = events_to_frames(events, num_frames=3, height=2, width=2)
-        assert set(np.unique(frames)) <= {0.0, 1.0}
-        assert frames.sum() == 2.0
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(1)
-        n = 200
-        events = np.column_stack([
-            rng.uniform(0, 50, size=n),
-            rng.integers(0, 8, size=n),
-            rng.integers(0, 8, size=n),
-            rng.integers(0, 2, size=n),
-        ]).astype(np.float64)
-        a = events_to_frames(events, num_frames=5, height=8, width=8)
-        b = events_to_frames(events[rng.permutation(n)], num_frames=5,
-                             height=8, width=8)
-        np.testing.assert_array_equal(a, b)
-
-    def test_empty_stream(self):
-        frames = events_to_frames(np.zeros((0, 4)), num_frames=4, height=2,
-                                  width=2)
-        np.testing.assert_array_equal(frames, np.zeros((4, 2, 2)))
-
-    def test_all_events_at_time_zero(self):
-        events = np.array([[0.0, 0, 1, 1], [0.0, 1, 0, 1]])
-        frames = events_to_frames(events, num_frames=3, height=2, width=2)
-        assert frames[0].sum() == 2.0 and frames[1:].sum() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            events_to_frames(np.array([[-1.0, 0, 0, 1]]), 2, 2, 2)
-        with pytest.raises(DataError):
-            events_to_frames(np.array([[0.0, 5, 0, 1]]), 2, 2, 2)
-        with pytest.raises(DataError):
-            events_to_frames(np.zeros((3, 3)), 2, 2, 2)
-
-    def test_frames_to_signs(self):
-        frames = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(frames_to_signs(frames),
-                                      [[-1.0, 1.0], [1.0, -1.0]])
-
-
-class TestEventLoaders:
-
-    def test_csv_with_header(self, tmp_path):
-        p = tmp_path / "events.csv"
-        p.write_text("x,y,t,polarity\n3,4,100,1\n5,6,200,0\n")
-        ev = load_events_csv(str(p))
-        np.testing.assert_array_equal(ev, [[100, 3, 4, 1], [200, 5, 6, 0]])
-
-    def test_csv_without_header(self, tmp_path):
-        p = tmp_path / "events.csv"
-        p.write_text("3,4,100,1\n")
-        np.testing.assert_array_equal(load_events_csv(str(p)),
-                                      [[100, 3, 4, 1]])
-
-    def test_csv_bad_row_raises(self, tmp_path):
-        p = tmp_path / "events.csv"
-        p.write_text("x,y,t,polarity\n1,2,3\n")
-        with pytest.raises(DataError):
-            load_events_csv(str(p))
-        p.write_text("1,2,3,1\n1,b,3,1\n")
-        with pytest.raises(DataError):
-            load_events_csv(str(p))
-
-    def test_binary_quadruples(self, tmp_path):
-        p = tmp_path / "events.bin"
-        p.write_bytes(struct.pack("<8I", 3, 4, 100, 1, 5, 6, 200, 0))
-        ev = load_events_binary(str(p))
-        np.testing.assert_array_equal(ev, [[100, 3, 4, 1], [200, 5, 6, 0]])
-
-    def test_binary_bad_length_raises(self, tmp_path):
-        p = tmp_path / "events.bin"
-        p.write_bytes(b"\x00" * 15)
-        with pytest.raises(DataError):
-            load_events_binary(str(p))
-
-    def test_loaders_agree_then_frames(self, tmp_path):
-        rows = [(3, 4, 10, 1), (1, 2, 20, 1), (0, 0, 5, 0)]
-        pc = tmp_path / "e.csv"
-        pc.write_text("x,y,t,polarity\n" +
-                      "".join(f"{x},{y},{t},{p}\n" for x, y, t, p in rows))
-        pb = tmp_path / "e.bin"
-        pb.write_bytes(b"".join(struct.pack("<4I", *r) for r in rows))
-        a = load_events_csv(str(pc))
-        b = load_events_binary(str(pb))
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            events_to_frames(a, num_frames=2, height=5, width=5),
-            events_to_frames(b, num_frames=2, height=5, width=5))
 
 
 class TestSyntheticData:
