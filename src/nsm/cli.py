@@ -156,9 +156,12 @@ def cmd_train(args) -> int:
             if theirs != ours:
                 raise ConfigError(f"{args.resume}: checkpoint has {key} = {theirs}, "
                                   f"this run has {key} = {ours}")
+        for key in ("epoch", "iteration"):   # not config fields, so parsed here
+            try:
+                setattr(state, key, int(desc[key]))
+            except ValueError:
+                raise ConfigError(f"{args.resume}: bad value {desc[key]!r} for {key}")
         restore_params(net, params)
-        state.epoch = int(desc["epoch"])
-        state.iteration = int(desc["iteration"])
         batches_done(state, len(train_ds))
         _restore_moments(state.optimizer, moments)
     elif cfg.init_batch > 0:

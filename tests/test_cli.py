@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in-process through main(argv)."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nsm.analyze import (metrics_equal_excluding_time, read_metrics_csv,
                          save_gradient_log, write_metrics_csv)
 from nsm.checkpoint import load_checkpoint, save_checkpoint
 from nsm.checks import CheckResult
-from nsm.cli import main
+from nsm.cli import _resolve_config, build_parser, main
 from nsm.config import RunConfig, config_lines, parse_config_text, set_key
 from nsm.errors import ConfigError
 from nsm.network import Network
@@ -177,6 +178,46 @@ class TestTrain:
         assert f"this run has {key} = " in capsys.readouterr().err
         assert not out.exists()
 
+    # the descriptor is compared as parsed values, not as text
+    @pytest.mark.parametrize("key,text", [("noise_param", "0.50"), ("seed", "05")])
+    def test_resume_accepts_other_text_of_same_value(self, key, text, half_run,
+                                                     tmp_path, capsys):
+        desc, params, moments = load_checkpoint(half_run)
+        path = str(tmp_path / "respelled.ckpt")
+        save_checkpoint(path, params, {**desc, key: text}, moments)
+        out = tmp_path / "resumed"
+        assert main(train_argv(out, epochs=2) + ["--resume", path]) == 0
+        assert (out / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("key,value", [("epoch", "x"), ("iteration", "1.5")])
+    def test_resume_malformed_position_exits_2(self, key, value, half_run,
+                                               tmp_path, capsys):
+        desc, params, moments = load_checkpoint(half_run)
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, params, {**desc, key: value}, moments)
+        out = tmp_path / "resumed"
+        assert main(train_argv(out, epochs=2) + ["--resume", path]) == 2
+        assert f"{path}: bad value {value!r} for {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_config_field_is_a_train_flag(self, tmp_path):
+        # a non-default value for every field, given only as flags, must
+        # come back as the same RunConfig
+        want = RunConfig(
+            preset="mlp-16-4-2", model="binary-erf", dataset="synthetic:xor-blobs",
+            data_dir="somewhere", noise="gaussian", noise_param=0.25,
+            site="synapse", epochs=3, batch_size=8, optimizer="adam", lr=0.01,
+            adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6, decay_start_epoch=2,
+            late_beta1=0.4, max_iterations=7, eval_every=2, mc_samples=3,
+            seed=9, head_bias=False, init_batch=0, record_percentiles=False,
+            dim=12, train_size=40, test_size=20)
+        assert all(getattr(want, f.name) != getattr(RunConfig(), f.name)
+                   for f in fields(RunConfig))
+        argv = ["train", "--out", str(tmp_path)]
+        for f in fields(RunConfig):
+            argv += [f"--{f.name.replace('_', '-')}", str(getattr(want, f.name))]
+        assert _resolve_config(build_parser().parse_args(argv)) == want
+
     def test_resume_with_other_batches_per_epoch_exits_2(self, tmp_path, capsys):
         half, out = tmp_path / "half", tmp_path / "resumed"
         assert main(train_argv(half, max_iterations=2)) == 0   # 2 of 4 batches
@@ -291,6 +332,10 @@ class TestEval:
         current = last_eval_line(capsys)
         assert main(["eval", "--checkpoint", old]) == 0
         assert last_eval_line(capsys) == current
+
+    def test_malformed_flag_value_exits_2(self, trained, capsys):
+        assert main(["eval", "--checkpoint", trained, "--seed", "abc"]) == 2
+        assert "flag: bad value 'abc' for seed" in capsys.readouterr().err
 
     def test_zero_test_size_exits_2(self, trained, capsys):
         assert main(["eval", "--checkpoint", trained, "--test-size", "0"]) == 2
