@@ -142,6 +142,9 @@ def build_from_config(cfg: RunConfig) -> Network:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     train_ds, test_ds = resolve_datasets(cfg)   # before any output is created
+    if len(train_ds) < cfg.batch_size:
+        raise ConfigError(f"train set of {len(train_ds)} examples is smaller than "
+                          f"one batch of {cfg.batch_size}")
     net = build_from_config(cfg)
     tc = _train_config(cfg)
     state = TrainState(network=net, optimizer=make_optimizer(tc), config=tc,

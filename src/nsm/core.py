@@ -33,8 +33,10 @@ ERF_SLOPE0 = 2.0 / np.sqrt(np.pi)
 
 def sign_activation(u) -> np.ndarray:
     """Binary threshold: +1 where u >= 0, else -1 (zero maps to +1)."""
-    u = np.asarray(u)
-    return np.where(u >= 0, 1.0, -1.0)
+    out = np.array(np.asarray(u) >= 0, dtype=np.float64)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def erf_probability(x) -> np.ndarray:
@@ -45,7 +47,11 @@ def erf_probability(x) -> np.ndarray:
 def erf_slope(x) -> np.ndarray:
     """d(2P - 1)/dx = 2/sqrt(pi) exp(-x^2); the backward surrogate slope."""
     x = np.asarray(x, dtype=np.float64)
-    return ERF_SLOPE0 * np.exp(-x * x)
+    out = np.multiply(x, x, out=np.empty(x.shape))   # an array even for 0-d x
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= ERF_SLOPE0
+    return out
 
 
 def _check_wz(w: np.ndarray, z: np.ndarray):

@@ -13,12 +13,16 @@ layer's distribution over outputs exactly unchanged and the gradient rule in
 
 NsmDense, NsmConv (an NsmDense over im2col patches), NormalizedHead and the
 wnorm-binary-det baseline share one core: `_project` computes t and
-`_normalized_backward` gives the orthogonal gradients of x = scale t + bias.
+`_normalized_backward` gives the orthogonal gradients of x = scale t + bias
+and the effective weight v = (scale/||w||) w, from which each layer makes
+its own input gradient (a conv's through col2im, in (kh, kw, C) order).
 
 Every layer exposes:
     forward(z, mode, stream) -> (out, cache)   mode in {sample, mean, concrete}
-    backward(cache, upstream) -> (param grad dict, d_input)
+    backward(cache, upstream, input_grad=True) -> (param grad dict, d_input)
     params() -> dict of live (in-place mutable) arrays
+backward skips the input gradient and returns None for it when input_grad
+is False, as the network does for its first layer.
 """
 
 from __future__ import annotations
@@ -65,18 +69,18 @@ def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _normalized_backward(w, scale, norms, rows, t, s):
-    """(dw, d_scale, d_bias, d_rows) through x = scale t + bias, t from _project.
+    """(dw, d_scale, d_bias, v) through x = scale t + bias, t from _project.
 
     s is dL/dx, shaped like t. Parameter gradients sum over all leading axes;
     dw is orthogonal to w row by row (the rule in autodiff.reparam_grads).
+    v = (scale/||w||) w is the effective weight: dL/drows = s @ v.
     """
     k = w.shape[0]
     flat = s.reshape(-1, k)
     d_scale = np.einsum("nk,nk->k", flat, t.reshape(-1, k))   # no (N, K) product temporary
     d_bias = np.sum(flat, axis=0)
     dw = autodiff.reparam_grads(w, norms, scale, _kernel_grad(s, rows), d_scale)
-    d_rows = s @ ((scale / norms)[:, None] * w)
-    return dw, d_scale, d_bias, d_rows
+    return dw, d_scale, d_bias, (scale / norms)[:, None] * w
 
 
 def glorot(shape, fan_in, fan_out, stream: RngStream) -> np.ndarray:
@@ -189,8 +193,9 @@ class NsmDense:
     def _from_output(self, upstream):
         return upstream
 
-    def _input_grad(self, d_rows, cache):
-        return d_rows
+    def _input_grad(self, s, v, cache):
+        """dL/dz from s = dL/dx (rows-shaped) and the effective weight v."""
+        return s @ v
 
     def project(self, z):
         """(s, t, norms) of the normalized projection of input z."""
@@ -201,7 +206,8 @@ class NsmDense:
         w = self._matrix()
         rows, grid = self._rows(z)
         s, t, norms = _project(w, rows)
-        x = self.beta * t + self.bias
+        x = t * self.beta
+        x += self.bias
         cache = {"rows": rows, "in_shape": z.shape, "grid": grid,
                  "x": x, "t": t, "norms": norms, "stat": x}
         if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
@@ -209,11 +215,16 @@ class NsmDense:
                 else 2.0 * erf_probability(x) - 1.0
         elif mode == MODE_SAMPLE:
             b_raw = self.bias * self.model.scale * norms
+            s *= self.a   # s is not cached; it holds a s from here on
             if self.site == "neuron":
                 xi = sample_noise(self.model, z.shape, stream)
-                u = self._rows(xi * z)[0] @ w.T + self.a * s + b_raw
+                u = self._rows(xi * z)[0] @ w.T
+                u += s
+                u += b_raw
             elif self.site == "synapse":
-                u = self.a * s + b_raw + synapse_noise_sum(w, z, self.model, stream)
+                u = s
+                u += b_raw
+                u += synapse_noise_sum(w, z, self.model, stream)
             else:
                 raise ConfigError(f"unknown noise site {self.site!r}")
             out = sign_activation(u)
@@ -223,15 +234,16 @@ class NsmDense:
             raise ConfigError(f"unknown forward mode {mode!r}")
         return self._to_output(out, grid), cache
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         upstream = self._from_output(np.asarray(upstream, dtype=np.float64))
         if "relax" in cache:
             upstream = upstream * cache["relax"]
-        s = upstream * erf_slope(cache["x"])
-        dw, d_beta, d_bias, d_rows = _normalized_backward(
+        s = erf_slope(cache["x"])
+        s *= upstream
+        dw, d_beta, d_bias, v = _normalized_backward(
             self._matrix(), self.beta, cache["norms"], cache["rows"], cache["t"], s)
         return ({"w": dw.reshape(self.w.shape), "beta": d_beta, "bias": d_bias},
-                self._input_grad(d_rows, cache))
+                self._input_grad(s, v, cache) if input_grad else None)
 
 
 class NormalizedHead:
@@ -264,14 +276,14 @@ class NormalizedHead:
         _, t, norms = self.project(z)
         return self.beta * t + self.bias, {"z": z, "t": t, "norms": norms}
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         s = np.asarray(upstream, dtype=np.float64)
-        dw, d_beta, d_bias, dz = _normalized_backward(
+        dw, d_beta, d_bias, v = _normalized_backward(
             self.w, self.beta, cache["norms"], cache["z"], cache["t"], s)
         grads = {"w": dw, "beta": d_beta}
         if self.bias_trainable:
             grads["bias"] = d_bias
-        return grads, dz
+        return grads, s @ v if input_grad else None
 
 
 class AffineHead:
@@ -289,10 +301,11 @@ class AffineHead:
         z = np.asarray(z, dtype=np.float64)
         return z @ self.w.T + self.bias, {"z": z}
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         s = np.asarray(upstream, dtype=np.float64)
         z = cache["z"]
-        return {"w": s.T @ z, "bias": np.sum(s, axis=0)}, s @ self.w
+        return ({"w": s.T @ z, "bias": np.sum(s, axis=0)},
+                s @ self.w if input_grad else None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +381,7 @@ class BaselineDense:
         # sigmoid-det
         return expit(u), cache
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         upstream = np.asarray(upstream, dtype=np.float64)
         z, u = cache["z"], cache["u"]
         k = self.kind
@@ -383,13 +396,13 @@ class BaselineDense:
             p = expit(u)
             s = upstream * (p * (1.0 - p))
         if k == WNORM_BINARY_DET:
-            dw, d_g, d_bias, dz = _normalized_backward(
+            dw, d_g, d_bias, v = _normalized_backward(
                 self.w, self.g, cache["norms"], z, cache["t"], s)
-            return {"w": dw, "g": d_g, "bias": d_bias}, dz
+            return {"w": dw, "g": d_g, "bias": d_bias}, s @ v if input_grad else None
         grads = {"w": s.T @ z}
         if self.has_bias:
             grads["bias"] = np.sum(s, axis=0)
-        return grads, s @ self.w
+        return grads, s @ self.w if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +430,19 @@ def im2col(z: np.ndarray, kh: int, kw: int, stride: int, pad: int):
 
 def col2im(dpatches: np.ndarray, in_shape, kh: int, kw: int, stride: int, pad: int,
            grid) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch gradients back onto the image.
+    """Scatter-add patch gradients back onto the image: the adjoint of im2col
+    with each patch's features permuted to (kernel row, kernel col, channel).
 
     Accumulates channels-last, so each kernel offset adds one (B, oh, ow, C)
-    slice of the patch gradients without a transposed copy.
+    slice of contiguous channel runs.
     """
     b, c, h, w = in_shape
     oh, ow = grid
     dz = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
-    dp = dpatches.reshape(b, oh, ow, c, kh, kw)
+    dp = dpatches.reshape(b, oh, ow, kh, kw, c)
     for i in range(kh):
         for j in range(kw):
-            dz[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += dp[..., i, j]
+            dz[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += dp[:, :, :, i, j]
     dz = dz.transpose(0, 3, 1, 2)
     if pad:
         dz = dz[:, :, pad:-pad, pad:-pad]
@@ -452,9 +466,13 @@ class _ConvMaps:
         b, k = upstream.shape[:2]
         return upstream.transpose(0, 2, 3, 1).reshape(b, -1, k)
 
-    def _input_grad(self, d_rows, cache):
-        return col2im(d_rows, cache["in_shape"], self.w.shape[2], self.w.shape[3],
-                      self.stride, self.pad, cache["grid"])
+    def _input_grad(self, s, v, cache):
+        # permuting v's columns to (kh, kw, C) moves whole output columns of
+        # the product, so each entry is the same dot product as in s @ v
+        k, c, kh, kw = self.w.shape
+        v = v.reshape(k, c, kh, kw).transpose(0, 2, 3, 1).reshape(k, -1)
+        return col2im(s @ v, cache["in_shape"], kh, kw, self.stride, self.pad,
+                      cache["grid"])
 
 
 class NsmConv(_ConvMaps, NsmDense):
@@ -498,15 +516,30 @@ class SigmoidDetConv(_ConvMaps):
         return self._to_output(expit(u), grid), {"in_shape": z.shape, "patches": patches,
                                                   "grid": grid, "u": u, "stat": u}
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, input_grad=True):
         p = expit(cache["u"])
         s = self._from_output(np.asarray(upstream, np.float64)) * (p * (1.0 - p))
         dw = _kernel_grad(s, cache["patches"]).reshape(self.w.shape)
         return ({"w": dw, "bias": np.sum(s, axis=(0, 1))},
-                self._input_grad(s @ self._matrix(), cache))
+                self._input_grad(s, self._matrix(), cache) if input_grad else None)
 
 
-class MaxPool2:
+class _Plumbing:
+    """A layer without parameters: its backward is its input gradient alone."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def params(self):
+        return {}
+
+    def backward(self, cache, upstream, input_grad=True):
+        if not input_grad:
+            return {}, None
+        return {}, self._input_grad(cache, np.asarray(upstream, np.float64))
+
+
+class MaxPool2(_Plumbing):
     """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
 
     Backward routes the gradient to the position that won the forward max
@@ -515,12 +548,8 @@ class MaxPool2:
     """
 
     _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def params(self):
-        return {}
+    # corner index q = 2 i + j, laid out as the (2, ., 2, .) axes of a block view
+    _BLOCK_CORNER = np.arange(4).reshape(2, 1, 2, 1)
 
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
@@ -535,44 +564,31 @@ class MaxPool2:
         arg *= c00 != out
         return out, {"in_shape": z.shape, "arg": arg}
 
-    def backward(self, cache, upstream):
+    def _input_grad(self, cache, upstream):
         b, c, h, w = cache["in_shape"]
-        h2, w2 = h - h % 2, w - w % 2
-        arg = cache["arg"]
-        upstream = np.asarray(upstream, np.float64)
-        dz = np.zeros((b, c, h, w), dtype=np.float64)
-        for q, (i, j) in enumerate(self._CORNERS):
-            dz[:, :, i:h2:2, j:w2:2] = np.where(arg == q, upstream, 0.0)
-        return {}, dz
+        # channels-last (B, H/2, 2, W/2, 2, C) blocks, returned as a (B, C, H, W) view
+        arg = cache["arg"].transpose(0, 2, 3, 1)[:, :, None, :, None]
+        up = upstream.transpose(0, 2, 3, 1)[:, :, None, :, None]
+        dz = np.where(arg == self._BLOCK_CORNER, up, 0.0).reshape(b, h - h % 2, w - w % 2, c)
+        if h % 2 or w % 2:
+            dz = np.pad(dz, ((0, 0), (0, h % 2), (0, w % 2), (0, 0)))
+        return dz.transpose(0, 3, 1, 2)
 
 
-class Flatten:
-    def __init__(self, name: str):
-        self.name = name
-
-    def params(self):
-        return {}
-
+class Flatten(_Plumbing):
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
         return z.reshape(z.shape[0], -1), {"in_shape": z.shape}
 
-    def backward(self, cache, upstream):
-        return {}, np.asarray(upstream, np.float64).reshape(cache["in_shape"])
+    def _input_grad(self, cache, upstream):
+        return upstream.reshape(cache["in_shape"])
 
 
-class GlobalAvgPool:
-    def __init__(self, name: str):
-        self.name = name
-
-    def params(self):
-        return {}
-
+class GlobalAvgPool(_Plumbing):
     def forward(self, z, mode, stream=None):
         z = np.asarray(z, dtype=np.float64)
         return z.mean(axis=(2, 3)), {"in_shape": z.shape}
 
-    def backward(self, cache, upstream):
+    def _input_grad(self, cache, upstream):
         b, c, h, w = cache["in_shape"]
-        du = np.asarray(upstream, np.float64)[:, :, None, None]
-        return {}, np.broadcast_to(du / (h * w), (b, c, h, w)).copy()
+        return np.broadcast_to(upstream[:, :, None, None] / (h * w), (b, c, h, w)).copy()

@@ -73,11 +73,15 @@ class Network:
         return out
 
     def backward(self, caches, dlogits):
-        """Chain the layer backwards; returns {layer.param: grad} flat dict."""
+        """Chain the layer backwards; returns {layer.param: grad} flat dict.
+
+        The first layer is not asked for its input gradient, which nothing uses.
+        """
         grads = {}
         d = dlogits
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            layer_grads, d = layer.backward(cache, d)
+        for idx in reversed(range(len(self.layers))):
+            layer = self.layers[idx]
+            layer_grads, d = layer.backward(caches[idx], d, input_grad=idx > 0)
             for key, g in layer_grads.items():
                 grads[f"{layer.name}.{key}"] = g
         return grads

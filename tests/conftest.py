@@ -67,6 +67,15 @@ def blobs():
     return split_synthetic("two-gaussians", 400, 100, seed=7)
 
 
+def assert_same_bits(got, want):
+    """Equal shape, NaN where want has NaN, every other float64 bit pattern equal."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 def build_small_net(model="nsm", preset="mlp-16-8-2", seed=0, **kw):
     return build_network(parse_preset(preset), model, NoiseModel.bernoulli(0.5),
                          seed=seed, **kw)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in-process through main(argv)."""
 
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -281,6 +282,18 @@ class TestTrain:
         out = tmp_path / "never"
         assert main(train_argv(out, **overrides)) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # such a run would train 0 iterations and exit 0; at size 0 it would also
+    # warn from data-dependent init on an empty slice
+    @pytest.mark.parametrize("train_size", [10, 0])
+    def test_train_set_smaller_than_one_batch_exits_2(self, train_size, tmp_path, capsys):
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(train_argv(out, train_size=train_size, batch_size=16)) == 2
+        assert (f"train set of {train_size} examples is smaller than one batch of 16"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_other_models_and_digits_smoke(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ from nsm.core import (activation_probability, erf_probability, erf_slope,
 from nsm.errors import DegenerateNoiseError, NoiseModelError, NormalizationError
 from nsm.noise import NoiseModel, a_from_beta, beta_from_noise, dyadic_bits, sample_noise
 from nsm.rng import NS_NOISE, RngStream
+from tests.conftest import assert_same_bits
 
 # frozen oracle values: x -> 0.5*(1+erf(x))
 ERF_TABLE = [
@@ -77,6 +78,41 @@ class TestErfProbability:
         h = 1e-6
         fd = (2 * erf_probability(x + h) - 2 * erf_probability(x - h)) / (2 * h)
         np.testing.assert_allclose(erf_slope(x), fd, atol=1e-9)
+
+
+# edge values: signed zeros and infinities, NaN, subnormals, the extremes
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+               -2.2e-308, 1e-12, -1.0, 26.6, -27.3, 1e154, np.finfo(np.float64).max]
+
+
+class TestExactKernels:
+    """The single-allocation kernels against the plain formulas they replace."""
+
+    @staticmethod
+    def sign_reference(u):
+        return np.where(np.asarray(u) >= 0, 1.0, -1.0)
+
+    @staticmethod
+    def slope_reference(x):
+        x = np.asarray(x, dtype=np.float64)
+        return (2.0 / np.sqrt(np.pi)) * np.exp(-x * x)
+
+    def inputs(self):
+        rng = np.random.default_rng(46)
+        edges = np.array(EDGE_VALUES)
+        mixed = rng.normal(scale=3.0, size=(7, 5, 4))
+        mixed.flat[rng.choice(mixed.size, size=len(edges), replace=False)] = edges
+        return [edges, mixed, mixed.transpose(2, 0, 1), np.array(-0.0), np.array(np.nan),
+                np.array([[-3, 0, 2]]), 0.0, -0.0, 2, -1e-320, float("nan")]
+
+    def test_sign_activation_bit_identical(self):
+        for u in self.inputs():
+            assert_same_bits(sign_activation(u), self.sign_reference(u))
+
+    def test_erf_slope_bit_identical(self):
+        with np.errstate(over="ignore"):   # x * x overflows to inf at the extremes
+            for x in self.inputs():
+                assert_same_bits(erf_slope(x), self.slope_reference(x))
 
 
 class TestNoiseModel:

@@ -12,12 +12,15 @@ from nsm.autodiff import fd_against, reparam_grads
 from nsm.core import (activation_probability, erf_probability, erf_slope,
                       preactivation, sign_activation)
 from nsm.errors import ConfigError, ShapeError
-from nsm.layers import (MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, AffineHead,
-                        BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
+from nsm.layers import (BASELINE_KINDS, MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE,
+                        AffineHead, BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
                         NormalizedHead, NsmConv, NsmDense, SigmoidDetConv,
                         _logit, _synapse_chunk_rows, col2im, im2col)
+from nsm.network import cross_entropy_dlogits, softmax
 from nsm.noise import NoiseModel, beta_from_noise, sample_noise
+from nsm.presets import build_network, parse_preset
 from nsm.rng import NS_NOISE, RngStream
+from tests.conftest import assert_same_bits
 
 
 def mk_dense(seed=0, out=3, fan=6, **kw):
@@ -336,6 +339,14 @@ class TestHeads:
                           [grads["w"], grads["bias"]], h=1e-6) < 1e-8
 
 
+def kernel_major(patches, c, kh, kw):
+    """im2col patches with each feature vector permuted from (C, kh, kw) to
+    (kh, kw, C), the order col2im reads."""
+    lead = patches.shape[:-1]
+    return (patches.reshape(lead + (c, kh, kw)).swapaxes(-3, -2).swapaxes(-2, -1)
+            .reshape(lead + (-1,)))
+
+
 class TestIm2col:
 
     def test_patch_extraction_hand_case(self):
@@ -354,13 +365,13 @@ class TestIm2col:
                                       [0, 0, 0, 0, 1, 1, 1, 1])
 
     def test_col2im_is_adjoint(self):
-        # <im2col(x), y> = <x, col2im(y)> for random x, y
+        # <im2col(x) in (kh, kw, C) order, y> = <x, col2im(y)> for random x, y
         rng = np.random.default_rng(27)
         x = rng.normal(size=(2, 3, 6, 5))
         for stride, pad in [(1, 0), (1, 1), (2, 0), (2, 1)]:
             patches, grid = im2col(x, 3, 3, stride, pad)
             y = rng.normal(size=patches.shape)
-            lhs = float(np.sum(patches * y))
+            lhs = float(np.sum(kernel_major(patches, 3, 3, 3) * y))
             xi = col2im(y, x.shape, 3, 3, stride, pad, grid)
             rhs = float(np.sum(x * xi))
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
@@ -542,7 +553,8 @@ STRIDE_PAD = [(1, 0), (1, 1), (2, 0), (2, 1)]
 
 
 def col2im_nchw(dpatches, in_shape, kh, kw, stride, pad, grid):
-    """col2im accumulated channels-first from transposed patch slices."""
+    """The adjoint of im2col on (C, kh, kw)-ordered patch gradients,
+    accumulated channels-first from transposed patch slices."""
     b, c, h, w = in_shape
     oh, ow = grid
     dz = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
@@ -609,7 +621,7 @@ class TestConvReference:
         _, grid = im2col(np.zeros(shape), 3, 3, stride, pad)
         dpatches = rng.normal(size=(2, grid[0] * grid[1], 27))
         np.testing.assert_array_equal(
-            col2im(dpatches, shape, 3, 3, stride, pad, grid),
+            col2im(kernel_major(dpatches, 3, 3, 3), shape, 3, 3, stride, pad, grid),
             col2im_nchw(dpatches, shape, 3, 3, stride, pad, grid))
 
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
@@ -625,6 +637,41 @@ class TestConvReference:
         s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * (p * (1.0 - p))
         dw = np.einsum("bpk,bpd->kd", s, cache["patches"]).reshape(layer.w.shape)
         assert_close_rel(grads["w"], dw)
+
+
+class TestConvInputGradient:
+    """The conv input gradient, made from v with its columns in (kh, kw, C)
+    order, against col2im of s @ v in im2col's (C, kh, kw) order, bit for bit."""
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_bit_identical_to_patch_order_product(self, ksize, stride, pad):
+        rng = np.random.default_rng([ksize, stride, pad])
+        for draw in range(3):
+            c, k, b = (int(n) for n in rng.integers(1, [5, 9, 4]))
+            h, w = (int(n) for n in rng.integers(ksize, ksize + 7, size=2))
+            wts = rng.normal(size=(k, c, ksize, ksize))
+            wf = wts.reshape(k, -1)
+            z = rng.choice([-1.0, 1.0], size=(b, c, h, w))
+
+            layer = NsmConv("c", wts, NoiseModel.bernoulli(0.5), a=0.2 * rng.normal(size=k),
+                            bias=0.1 * rng.normal(size=k), stride=stride, pad=pad)
+            out, cache = layer.forward(z, MODE_SAMPLE, RngStream(draw).child(NS_NOISE))
+            upstream = rng.normal(size=out.shape)
+            _, dz = layer.backward(cache, upstream)
+            up = upstream.transpose(0, 2, 3, 1).reshape(b, -1, k)
+            s = up * erf_slope(cache["x"])
+            v = (layer.beta / cache["norms"])[:, None] * wf
+            grid = cache["grid"]
+            assert_same_bits(dz, col2im_nchw(s @ v, z.shape, ksize, ksize, stride, pad, grid))
+
+            layer = SigmoidDetConv("s", wts, bias=0.1 * rng.normal(size=k),
+                                   stride=stride, pad=pad)
+            _, cache = layer.forward(z, MODE_MEAN)
+            _, dz = layer.backward(cache, upstream)
+            p = expit(cache["u"])
+            s = up * (p * (1.0 - p))
+            assert_same_bits(dz, col2im_nchw(s @ wf, z.shape, ksize, ksize, stride, pad, grid))
 
 
 class TestSigmoidDetConv:
@@ -689,6 +736,36 @@ class TestMaxPoolReference:
         np.testing.assert_array_equal(dz, max_pool_backward_reference(shape, arg, upstream))
 
 
+def max_pool_backward_corners(in_shape, arg, upstream):
+    """Pool backward as four np.where passes, one per corner, into NCHW zeros."""
+    b, c, h, w = in_shape
+    h2, w2 = h - h % 2, w - w % 2
+    dz = np.zeros(in_shape)
+    for q, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        dz[:, :, i:h2:2, j:w2:2] = np.where(arg == q, upstream, 0.0)
+    return dz
+
+
+class TestMaxPoolBackwardBits:
+
+    @pytest.mark.parametrize("hw", [(6, 8), (5, 7), (4, 3), (2, 9), (1, 6)])
+    def test_matches_four_corner_construction(self, hw):
+        rng = np.random.default_rng([48, *hw])
+        shape = (3, 4) + hw
+        pool = MaxPool2("p")
+        _, cache = pool.forward(rng.choice([-1.0, 1.0], size=shape), MODE_SAMPLE)
+        upstream = rng.normal(size=cache["arg"].shape)
+        upstream.flat[::3] = -0.0
+        upstream.flat[1::11] = -np.inf
+        upstream.flat[2::13] = np.nan
+        channels_last = np.ascontiguousarray(upstream.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        want = max_pool_backward_corners(shape, cache["arg"], upstream)
+        for up in (upstream, channels_last):
+            _, dz = pool.backward(cache, up)
+            assert_same_bits(dz, want)
+            np.testing.assert_array_equal(np.signbit(dz), np.signbit(want))
+
+
 class TestPooling:
 
     def test_max_pool_hand_case(self):
@@ -735,3 +812,53 @@ class TestPooling:
         np.testing.assert_allclose(out, z.mean(axis=(2, 3)), atol=1e-15)
         _, dz = gap.backward(cache, np.ones((3, 4)))
         np.testing.assert_allclose(dz, np.full_like(z, 0.25), atol=1e-15)
+
+
+def every_layer_kind():
+    """(layer, input) for every layer class and baseline kind, named by kind."""
+    rng = np.random.default_rng(49)
+    model = NoiseModel.bernoulli(0.5)
+    w, kernels = rng.normal(size=(3, 6)), rng.normal(size=(3, 2, 3, 3))
+    flat, maps = rng.choice([-1.0, 1.0], size=(4, 6)), rng.choice([-1.0, 1.0], size=(2, 2, 5, 5))
+    cases = [(NsmDense("NsmDense", w, model), flat),
+             (NsmConv("NsmConv", kernels, model, pad=1), maps),
+             (NormalizedHead("NormalizedHead", w), flat), (AffineHead("AffineHead", w), flat),
+             (SigmoidDetConv("SigmoidDetConv", kernels, stride=2), maps),
+             (MaxPool2("MaxPool2"), maps), (Flatten("Flatten"), maps),
+             (GlobalAvgPool("GlobalAvgPool"), maps)]
+    cases += [(BaselineDense(kind, kind, w), flat) for kind in BASELINE_KINDS]
+    return [pytest.param(layer, z, id=layer.name) for layer, z in cases]
+
+
+class TestInputGradSkip:
+    """backward(..., input_grad=False) skips only the input gradient, and the
+    network skips it for its first layer alone."""
+
+    @pytest.mark.parametrize("layer,z", every_layer_kind())
+    def test_false_gives_none_and_the_same_param_grads(self, layer, z):
+        out, cache = layer.forward(z, MODE_SAMPLE, RngStream(5).child(NS_NOISE))
+        upstream = np.random.default_rng(50).normal(size=out.shape)
+        grads, dz = layer.backward(cache, upstream)
+        skipped, none = layer.backward(cache, upstream, input_grad=False)
+        assert none is None and dz.shape == z.shape
+        assert skipped.keys() == grads.keys()
+        for key in grads:
+            assert_same_bits(skipped[key], grads[key])
+
+    @pytest.mark.parametrize("preset", ["mlp-16-8-2", "cnn-mnist"])
+    def test_network_grads_equal_full_chain(self, preset):
+        arch = parse_preset(preset)
+        net = build_network(arch, "nsm", NoiseModel.bernoulli(0.5), seed=3)
+        rng = np.random.default_rng(51)
+        z = rng.choice([-1.0, 1.0], size=(4,) + arch.input_shape)
+        logits, caches = net.forward(z, MODE_SAMPLE, RngStream(3).child(NS_NOISE))
+        dlogits = cross_entropy_dlogits(softmax(logits), rng.integers(0, 2, size=4))
+        grads = net.backward(caches, dlogits)
+        want, d = {}, dlogits
+        for layer, cache in zip(reversed(net.layers), reversed(caches)):
+            layer_grads, d = layer.backward(cache, d)
+            want.update({f"{layer.name}.{key}": g for key, g in layer_grads.items()})
+        assert d.shape == z.shape
+        assert grads.keys() == want.keys()
+        for key in want:
+            assert_same_bits(grads[key], want[key])

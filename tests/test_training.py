@@ -3,10 +3,12 @@ checkpoint-resume identity, and Monte Carlo evaluation.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from nsm import autodiff, layers
 from nsm.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from nsm.data import synthetic_dataset
 from nsm.errors import InitError, NanGradientError
@@ -18,7 +20,7 @@ from nsm.presets import build_network, parse_preset
 from nsm.rng import NS_EVAL, NS_INIT, NS_NOISE, RngStream
 from nsm.training import (Adam, MetricsRecord, Sgd, TrainConfig, TrainState,
                           data_dependent_init, evaluate_mc, make_optimizer,
-                          schedule, train, train_epoch)
+                          schedule, train, train_batch, train_epoch)
 from tests.conftest import build_small_net
 
 
@@ -332,3 +334,28 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
         assert peaks["predict"] <= 0.8 * peaks["forward"]
+
+
+class TestTracedCallSites:
+    """The benchmark's tracer replaces layers.im2col, layers.col2im and
+    autodiff.reparam_grads by name; a cnn-mnist step must reach them there,
+    or the traced per-layer figures silently read 0."""
+
+    def test_cnn_step_calls_each_patch_point(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((layers, "im2col"), (layers, "col2im"),
+                             (autodiff, "reparam_grads")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        net = build_network(parse_preset("cnn-mnist"), "nsm", NoiseModel.bernoulli(0.5), seed=1)
+        cfg = TrainConfig(batch_size=4, optimizer="adam", lr=0.001)
+        state = TrainState(network=net, optimizer=make_optimizer(cfg), config=cfg, seed=1)
+        rng = np.random.default_rng(52)
+        train_batch(state, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
+                    rng.integers(0, 10, size=4))
+        normalized = sum(isinstance(l, (NsmDense, NormalizedHead)) for l in net.layers)
+        # two patch sets per conv forward (z and xi * z); conv0 makes no input gradient
+        assert calls == {"im2col": 4, "col2im": 1, "reparam_grads": normalized}
+        assert normalized == 4
