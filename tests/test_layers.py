@@ -343,8 +343,7 @@ def kernel_major(patches, c, kh, kw):
     """im2col patches with each feature vector permuted from (C, kh, kw) to
     (kh, kw, C), the order col2im reads."""
     lead = patches.shape[:-1]
-    return (patches.reshape(lead + (c, kh, kw)).swapaxes(-3, -2).swapaxes(-2, -1)
-            .reshape(lead + (-1,)))
+    return np.moveaxis(patches.reshape(lead + (c, kh, kw)), -3, -1).reshape(lead + (-1,))
 
 
 class TestIm2col:
