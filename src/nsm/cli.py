@@ -230,18 +230,15 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     kind = args.kind
+    window = args.window if args.window and args.window > 0 else None
+    rows = []
     if kind == "drift":
-        rows = []
         for path in args.inputs:
-            metrics = analyze_mod.read_metrics_csv(path)
-            window = args.window if args.window and args.window > 0 else None
-            summary = analyze_mod.percentile_drift(metrics, window)
-            summary = {"metrics": path, **summary}
-            rows.append(summary)
+            summary = analyze_mod.percentile_drift(analyze_mod.read_metrics_csv(path), window)
+            rows.append({"metrics": path, **summary})
             print(f"{path}: p50 std {summary['p50_std']:.6f} over "
                   f"{summary['records']} records (band {summary['band_mean']:.4f})")
     elif kind == "weights":
-        rows = []
         for path in args.inputs:
             for row in analyze_mod.weight_statistics(path):
                 rows.append({"checkpoint": path, **row})
@@ -254,8 +251,6 @@ def cmd_analyze(args) -> int:
                                  for row in analyze_mod.weight_histograms(path, args.bins))
             analyze_mod.write_rows_csv(args.hist_out, hist_rows)
     elif kind == "error":
-        rows = []
-        window = args.window if args.window and args.window > 0 else None
         for path in args.inputs:
             summary = analyze_mod.error_window(analyze_mod.read_metrics_csv(path), window)
             rows.append({"metrics": path, **summary})

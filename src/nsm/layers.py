@@ -18,11 +18,18 @@ and the effective weight v = (scale/||w||) w, from which each layer makes
 its own input gradient (a conv's through col2im, in (kh, kw, C) order).
 
 Every layer exposes:
-    forward(z, mode, stream) -> (out, cache)   mode in {sample, mean, concrete}
+    forward(z, mode, stream, shared=None) -> (out, cache)   mode: sample, mean, concrete
     backward(cache, upstream, input_grad=True) -> (param grad dict, d_input)
     params() -> dict of live (in-place mutable) arrays
 backward skips the input gradient and returns None for it when input_grad
 is False, as the network does for its first layer.
+
+A forward given a `shared` dict returns no backward cache. It keeps in
+that dict what the next forward with the same weights computes alike: the
+row norms and raw bias, and a s too when shared["z"] is its input, as for
+the first layer of Monte Carlo passes over one batch. A caller that has
+projected z may put its s and norms there. A sampled forward that projects
+z itself drops the rows as soon as their product exists.
 """
 
 from __future__ import annotations
@@ -56,11 +63,18 @@ def _per_unit(value, out: int, fill: float = 0.0) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(value, dtype=np.float64), (out,)))
 
 
-def _project(w: np.ndarray, rows: np.ndarray):
+def _project(w: np.ndarray, rows: np.ndarray, norms=None):
     """(s, t, norms) with s = rows @ w.T and t = s / ||w_k||; rows (..., D), w (K, D)."""
-    norms = _row_norms(w)
+    norms = _row_norms(w) if norms is None else norms
     s = rows @ w.T
     return s, s / norms, norms
+
+
+def _memo(shared: dict, key: str, make):
+    """shared[key], made by make() the first time it is asked for."""
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
 
 
 def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -68,19 +82,20 @@ def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return s.reshape(-1, s.shape[-1]).T @ rows.reshape(-1, rows.shape[-1])
 
 
-def _normalized_backward(w, scale, norms, rows, t, s):
+def _normalized_backward(w, scale, norms, rows, t, s, input_grad):
     """(dw, d_scale, d_bias, v) through x = scale t + bias, t from _project.
 
     s is dL/dx, shaped like t. Parameter gradients sum over all leading axes;
     dw is orthogonal to w row by row (the rule in autodiff.reparam_grads).
-    v = (scale/||w||) w is the effective weight: dL/drows = s @ v.
+    v = (scale/||w||) w is the effective weight, dL/drows = s @ v, or None
+    unless input_grad.
     """
     k = w.shape[0]
     flat = s.reshape(-1, k)
     d_scale = np.einsum("nk,nk->k", flat, t.reshape(-1, k))   # no (N, K) product temporary
     d_bias = np.sum(flat, axis=0)
     dw = autodiff.reparam_grads(w, norms, scale, _kernel_grad(s, rows), d_scale)
-    return dw, d_scale, d_bias, (scale / norms)[:, None] * w
+    return dw, d_scale, d_bias, (scale / norms)[:, None] * w if input_grad else None
 
 
 def glorot(shape, fan_in, fan_out, stream: RngStream) -> np.ndarray:
@@ -201,9 +216,21 @@ class NsmDense:
         """(s, t, norms) of the normalized projection of input z."""
         return _project(self._matrix(), self._rows(z)[0])
 
-    def forward(self, z, mode: str, stream: RngStream | None):
+    def forward(self, z, mode: str, stream: RngStream | None, shared: dict | None = None):
         z = np.asarray(z, dtype=np.float64)
         w = self._matrix()
+        if mode == MODE_SAMPLE and not self.deterministic and shared is not None:
+            norms = _memo(shared, "norms", lambda: _row_norms(w))
+            a_s = shared.get("a_s")
+            if a_s is None:
+                a_s = shared.pop("s", None)      # z's mean product, when the caller has it
+                if a_s is None:
+                    a_s = self._rows(z)[0] @ w.T   # its rows die here, before the noisy ones exist
+                a_s *= self.a
+                if shared.get("z") is z:         # every forward gets this z: keep a s for them
+                    shared["a_s"] = a_s
+            return self._sample(z, w, a_s, _memo(shared, "b_raw", lambda: self._b_raw(norms)),
+                                stream), None
         rows, grid = self._rows(z)
         s, t, norms = _project(w, rows)
         x = t * self.beta
@@ -214,25 +241,32 @@ class NsmDense:
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
         elif mode == MODE_SAMPLE:
-            b_raw = self.bias * self.model.scale * norms
             s *= self.a   # s is not cached; it holds a s from here on
-            if self.site == "neuron":
-                xi = sample_noise(self.model, z.shape, stream)
-                u = self._rows(xi * z)[0] @ w.T
-                u += s
-                u += b_raw
-            elif self.site == "synapse":
-                u = s
-                u += b_raw
-                u += synapse_noise_sum(w, z, self.model, stream)
-            else:
-                raise ConfigError(f"unknown noise site {self.site!r}")
-            out = sign_activation(u)
+            return self._sample(z, w, s, self._b_raw(norms), stream), cache
         elif mode == MODE_CONCRETE:
             out, cache["relax"] = _concrete_relax(x, stream)
         else:
             raise ConfigError(f"unknown forward mode {mode!r}")
-        return self._to_output(out, grid), cache
+        return self._to_output(out, grid), cache if shared is None else None
+
+    def _b_raw(self, norms):
+        return self.bias * self.model.scale * norms
+
+    def _sample(self, z, w, a_s, b_raw, stream):
+        """sign(u), u = noisy product + a_s + b_raw: every sampled forward's
+        output, with a_s = a (rows @ w.T) for the rows of z (left unchanged)."""
+        grid = None
+        if self.site == "neuron":
+            noisy, grid = self._rows(sample_noise(self.model, z.shape, stream) * z)
+            u = noisy @ w.T
+            u += a_s
+            u += b_raw
+        elif self.site == "synapse":
+            u = a_s + b_raw
+            u += synapse_noise_sum(w, z, self.model, stream)
+        else:
+            raise ConfigError(f"unknown noise site {self.site!r}")
+        return self._to_output(sign_activation(u), grid)
 
     def backward(self, cache, upstream, input_grad=True):
         upstream = self._from_output(np.asarray(upstream, dtype=np.float64))
@@ -241,7 +275,7 @@ class NsmDense:
         s = erf_slope(cache["x"])
         s *= upstream
         dw, d_beta, d_bias, v = _normalized_backward(
-            self._matrix(), self.beta, cache["norms"], cache["rows"], cache["t"], s)
+            self._matrix(), self.beta, cache["norms"], cache["rows"], cache["t"], s, input_grad)
         return ({"w": dw.reshape(self.w.shape), "beta": d_beta, "bias": d_bias},
                 self._input_grad(s, v, cache) if input_grad else None)
 
@@ -271,15 +305,17 @@ class NormalizedHead:
     def project(self, z):
         return _project(self.w, z)
 
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        _, t, norms = self.project(z)
-        return self.beta * t + self.bias, {"z": z, "t": t, "norms": norms}
+        norms = None if shared is None else _memo(shared, "norms", lambda: _row_norms(self.w))
+        _, t, norms = _project(self.w, z, norms)
+        cache = {"z": z, "t": t, "norms": norms} if shared is None else None
+        return self.beta * t + self.bias, cache
 
     def backward(self, cache, upstream, input_grad=True):
         s = np.asarray(upstream, dtype=np.float64)
         dw, d_beta, d_bias, v = _normalized_backward(
-            self.w, self.beta, cache["norms"], cache["z"], cache["t"], s)
+            self.w, self.beta, cache["norms"], cache["z"], cache["t"], s, input_grad)
         grads = {"w": dw, "beta": d_beta}
         if self.bias_trainable:
             grads["bias"] = d_bias
@@ -297,7 +333,7 @@ class AffineHead:
     def params(self):
         return {"w": self.w, "bias": self.bias}
 
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         return z @ self.w.T + self.bias, {"z": z}
 
@@ -353,7 +389,7 @@ class BaselineDense:
     def project(self, z):
         return _project(self.w, z)
 
-    def forward(self, z, mode, stream: RngStream | None = None):
+    def forward(self, z, mode, stream: RngStream | None = None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         k = self.kind
         if k == WNORM_BINARY_DET:
@@ -397,7 +433,7 @@ class BaselineDense:
             s = upstream * (p * (1.0 - p))
         if k == WNORM_BINARY_DET:
             dw, d_g, d_bias, v = _normalized_backward(
-                self.w, self.g, cache["norms"], z, cache["t"], s)
+                self.w, self.g, cache["norms"], z, cache["t"], s, input_grad)
             return {"w": dw, "g": d_g, "bias": d_bias}, s @ v if input_grad else None
         grads = {"w": s.T @ z}
         if self.has_bias:
@@ -509,7 +545,7 @@ class SigmoidDetConv(_ConvMaps):
     def params(self):
         return {"w": self.w, "bias": self.bias}
 
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         patches, grid = self._rows(z)
         u = patches @ self._matrix().T + self.bias
@@ -551,11 +587,13 @@ class MaxPool2(_Plumbing):
     # corner index q = 2 i + j, laid out as the (2, ., 2, .) axes of a block view
     _BLOCK_CORNER = np.arange(4).reshape(2, 1, 2, 1)
 
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         h2, w2 = z.shape[2] - z.shape[2] % 2, z.shape[3] - z.shape[3] % 2
         c00, c01, c10, c11 = (z[:, :, i:h2:2, j:w2:2] for i, j in self._CORNERS)
         out = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
+        if shared is not None:
+            return out, None
         # first corner equal to the max: 0 if c00 wins, else 1 + (0 if c01 wins, ...)
         arg = (c10 != out).astype(np.int8)
         arg += 1
@@ -576,7 +614,7 @@ class MaxPool2(_Plumbing):
 
 
 class Flatten(_Plumbing):
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         return z.reshape(z.shape[0], -1), {"in_shape": z.shape}
 
@@ -585,7 +623,7 @@ class Flatten(_Plumbing):
 
 
 class GlobalAvgPool(_Plumbing):
-    def forward(self, z, mode, stream=None):
+    def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         return z.mean(axis=(2, 3)), {"in_shape": z.shape}
 

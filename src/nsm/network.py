@@ -3,6 +3,10 @@
 Noise streams: forward and predict derive one substream per layer as
 stream.child(layer_index), so a layer's draws depend only on
 (seed, purpose-path, layer), never on how other layers consume randomness.
+
+predict is the one-stream case of passes, which runs the Monte Carlo
+passes over one input. A sample-mode pass builds no backward cache, and
+what no pass changes is computed once per call.
 """
 
 from __future__ import annotations
@@ -55,22 +59,26 @@ class Network:
 
     def forward(self, z, mode: str = MODE_SAMPLE, stream: RngStream | None = None):
         """Run the stack; returns (logits, caches)."""
-        caches = []
-        return self._run(z, mode, stream, caches), caches
+        out, caches = self._prep(z), []
+        for idx, layer in enumerate(self.layers):
+            out, cache = layer.forward(out, mode, stream and stream.child(idx))
+            caches.append(cache)
+        return out, caches
 
     def predict(self, z, mode: str = MODE_SAMPLE, stream: RngStream | None = None):
         """Logits of the same pass as forward, keeping no backward caches."""
-        return self._run(z, mode, stream, None)
+        return next(self.passes(z, mode, [stream]))
 
-    def _run(self, z, mode, stream, caches: list | None):
-        out = self._prep(z)
-        for idx, layer in enumerate(self.layers):
-            sub = stream.child(idx) if stream is not None else None
-            out, cache = layer.forward(out, mode, sub)
-            if caches is not None:
-                caches.append(cache)
-            del cache   # otherwise a dropped cache lives on through the next layer
-        return out
+    def passes(self, z, mode: str, streams):
+        """forward's logits over z for each stream in turn, keeping no caches.
+        Each layer keeps what no pass changes in a dict they share (`layers`)."""
+        z = self._prep(z)
+        shared = [{"z": z}] + [{} for _ in self.layers[1:]]
+        for stream in streams:
+            out = z
+            for idx, layer in enumerate(self.layers):
+                out = layer.forward(out, mode, stream and stream.child(idx), shared[idx])[0]
+            yield out
 
     def backward(self, caches, dlogits):
         """Chain the layer backwards; returns {layer.param: grad} flat dict.

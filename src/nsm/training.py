@@ -229,22 +229,20 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     Each of the mc_samples passes runs the stochastic forward on the whole
     set; the per-class probabilities are averaged across passes and the
     argmax is compared to the labels. Deterministic models produce the same
-    pass every time, so mc_samples=1 is enough for them.
+    pass every time, so mc_samples=1 is enough for them. Network.passes
+    does the work the passes over a batch share once.
     """
     n = inputs.shape[0]
     wrong = 0
     for start in range(0, n, batch_size):
         xb = inputs[start:start + batch_size]
         yb = labels[start:start + batch_size]
-        acc = np.zeros((xb.shape[0], _num_classes(network)), dtype=np.float64)
-        for s in range(mc_samples):
-            acc += softmax(network.predict(xb, mode, stream.child(s, start)))
+        acc = np.zeros((xb.shape[0], network.layers[-1].w.shape[0]), dtype=np.float64)
+        for logits in network.passes(xb, mode, (stream.child(s, start)
+                                                for s in range(mc_samples))):
+            acc += softmax(logits)
         wrong += int(np.sum(np.argmax(acc, axis=1) != yb))
     return wrong / n
-
-
-def _num_classes(network: Network) -> int:
-    return network.layers[-1].w.shape[0]
 
 
 def data_dependent_init(network: Network, batch, stream: RngStream):
@@ -254,7 +252,8 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
     per-feature projection t = (w.z)/||w|| on the current batch, set
     beta = 1/std(t), bias = -mean(t)/std(t) (so the normalized argument is
     standardized on this batch), then propagate the batch with a sampled
-    forward so deeper layers see the distribution they will train on.
+    forward so deeper layers see the distribution they will train on. That
+    forward reuses the projection, which does not depend on beta or bias.
     A normalized layer is one with a scale parameter: beta for stochastic
     layers and the head, g for the weight-normalized binary baseline. A
     convolution's positions count as batch entries.
@@ -264,8 +263,9 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
     for idx, layer in enumerate(network.layers):
         params = layer.params()
         scale = params.get("beta", params.get("g"))
+        known = {}
         if scale is not None:
-            _, t, _ = layer.project(z)
+            known["s"], t, known["norms"] = layer.project(z)
             t = t.reshape(-1, t.shape[-1])
             mu, sd = t.mean(axis=0), t.std(axis=0)
             if np.any(sd == 0.0):
@@ -273,5 +273,5 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
             scale[...] = 1.0 / sd
             if "bias" in params:
                 params["bias"][...] = -mu / sd
-        z, _ = layer.forward(z, MODE_SAMPLE, stream.child(idx))
+        z, _ = layer.forward(z, MODE_SAMPLE, stream.child(idx), known)
     return network

@@ -12,16 +12,16 @@ from nsm import autodiff, layers
 from nsm.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from nsm.data import synthetic_dataset
 from nsm.errors import InitError, NanGradientError
-from nsm.layers import MODE_MEAN, MODE_SAMPLE, NormalizedHead, NsmDense
+from nsm.layers import MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, NormalizedHead, NsmDense
 from nsm.network import (Network, check_finite_grads, cross_entropy_loss,
                          softmax)
 from nsm.noise import NoiseModel
-from nsm.presets import build_network, parse_preset
+from nsm.presets import MODEL_KINDS, build_network, parse_preset
 from nsm.rng import NS_EVAL, NS_INIT, NS_NOISE, RngStream
 from nsm.training import (Adam, MetricsRecord, Sgd, TrainConfig, TrainState,
                           data_dependent_init, evaluate_mc, make_optimizer,
                           schedule, train, train_batch, train_epoch)
-from tests.conftest import build_small_net
+from tests.conftest import assert_same_bits, build_small_net
 
 
 def fresh_state(model="nsm", preset="mlp-16-8-2", seed=0, **cfg_kw):
@@ -336,6 +336,121 @@ class TestPredict:
         assert peaks["predict"] <= 0.8 * peaks["forward"]
 
 
+def reference_eval(net, x, y, mc, stream, batch_size, mode):
+    """evaluate_mc written out on the caching forward: (error, every pass's logits)."""
+    wrong, passes = 0, []
+    for start in range(0, len(x), batch_size):
+        xb, yb = x[start:start + batch_size], y[start:start + batch_size]
+        acc = np.zeros((len(xb), net.layers[-1].w.shape[0]))
+        for s in range(mc):
+            logits, _ = net.forward(xb, mode, stream.child(s, start))
+            passes.append(logits)
+            acc += softmax(logits)
+        wrong += int(np.sum(np.argmax(acc, axis=1) != yb))
+    return wrong / len(x), passes
+
+
+class TestSharedPasses:
+    """Network.passes, which evaluate_mc runs, does a batch's pass-independent
+    work once; every pass must still be the caching forward's, bit for bit,
+    with the same generator calls."""
+
+    @staticmethod
+    def assert_matches_forward(net, x, mode, mc, monkeypatch, batch_size=10):
+        y = np.arange(len(x)) % net.layers[-1].w.shape[0]
+        stream = RngStream(23).child(NS_EVAL, 1)
+        calls = Counter()
+        generator = RngStream.generator
+
+        def counted(self):
+            calls["now"] += 1
+            return generator(self)
+        monkeypatch.setattr(RngStream, "generator", counted)
+        want_err, want = reference_eval(net, x, y, mc, stream, batch_size, mode)
+        calls["reference"], calls["now"] = calls["now"], 0
+        got = [logits for start in range(0, len(x), batch_size)
+               for logits in net.passes(x[start:start + batch_size], mode,
+                                        (stream.child(s, start) for s in range(mc)))]
+        assert len(got) == len(want) == mc * -(-len(x) // batch_size)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        calls["now"] = 0
+        assert evaluate_mc(net, x, y, mc, stream, batch_size, mode) == want_err
+        assert calls["now"] == calls["reference"]
+
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    def test_every_model_kind(self, model, monkeypatch):
+        net = build_small_net(model, "mlp-20-16-10-4", seed=24)
+        x = np.random.default_rng(24).choice([-1.0, 1.0], size=(23, 20))
+        self.assert_matches_forward(net, x, MODE_SAMPLE, 4, monkeypatch)
+
+    @pytest.mark.parametrize("mc", [1, 4])
+    @pytest.mark.parametrize("mode", [MODE_SAMPLE, MODE_MEAN, MODE_CONCRETE])
+    @pytest.mark.parametrize("noise", [NoiseModel.gaussian(0.25), NoiseModel.bernoulli(0.5),
+                                       NoiseModel.bernoulli(0.3)], ids=str)
+    @pytest.mark.parametrize("site", ["neuron", "synapse"])
+    def test_nsm_mlp(self, site, noise, mode, mc, monkeypatch):
+        net = build_network(parse_preset("mlp-20-16-10-4"), "nsm", noise, site=site, seed=25)
+        x = np.random.default_rng(25).choice([-1.0, 1.0], size=(23, 20))
+        self.assert_matches_forward(net, x, mode, mc, monkeypatch)
+
+    @pytest.mark.parametrize("mc", [1, 4])
+    @pytest.mark.parametrize("model, mode", [("nsm", MODE_SAMPLE), ("nsm", MODE_MEAN),
+                                             ("nsm", MODE_CONCRETE),
+                                             ("binary-erf", MODE_SAMPLE),
+                                             ("sigmoid-det", MODE_SAMPLE)])
+    def test_cnn(self, model, mode, mc, monkeypatch):
+        net = build_small_net(model, "cnn-mnist", seed=26)
+        x = np.random.default_rng(26).choice([-1.0, 1.0], size=(5, 1, 28, 28))
+        self.assert_matches_forward(net, x, mode, mc, monkeypatch, batch_size=3)
+
+    @pytest.mark.parametrize("preset, site", [("cnn-mnist", "neuron"),
+                                              ("mlp-20-16-10-4", "synapse")])
+    def test_shared_keeps_only_what_the_sampled_path_reads(self, preset, site):
+        net = build_small_net("nsm", preset, seed=28, site=site)
+        z = net._prep(np.random.default_rng(28).choice([-1.0, 1.0],
+                                                       size=(4,) + net.input_shape))
+        shared = [{"z": z}] + [{} for _ in net.layers[1:]]
+        normalized = [isinstance(layer, (NsmDense, NormalizedHead)) for layer in net.layers]
+        for s in range(2):
+            out = z
+            for idx, layer in enumerate(net.layers):
+                out, cache = layer.forward(out, MODE_SAMPLE, RngStream(28).child(s, idx),
+                                           shared[idx])
+                assert cache is None or not normalized[idx]
+        # never the rows, t or x; a s only where every pass has the same input
+        assert set(shared[0]) == {"z", "norms", "b_raw", "a_s"}
+        for layer, kept in zip(net.layers[1:], shared[1:]):
+            want = {"norms", "b_raw"} if isinstance(layer, NsmDense) else {"norms"}
+            assert set(kept) == (want if isinstance(layer, (NsmDense, NormalizedHead))
+                                 else set())
+
+    @pytest.mark.parametrize("model, preset, site", [
+        ("nsm", "cnn-mnist", "neuron"), ("binary-erf", "cnn-mnist", "neuron"),
+        ("nsm", "mlp-20-16-10-4", "synapse"), ("wnorm-binary-det", "mlp-20-16-10-4", "neuron")])
+    def test_init_matches_a_reference_init(self, model, preset, site):
+        nets = [build_small_net(model, preset, seed=27, site=site) for _ in range(2)]
+        shape = (6,) + nets[0].input_shape
+        batch = np.random.default_rng(27).choice([-1.0, 1.0], size=shape)
+        stream = RngStream(27).child(NS_INIT, 101)
+        data_dependent_init(nets[0], batch, stream)
+        z = batch   # the init written out on the caching forward
+        for idx, layer in enumerate(nets[1].layers):
+            params = layer.params()
+            scale = params.get("beta", params.get("g"))
+            if scale is not None:
+                _, t, _ = layer.project(z)
+                t = t.reshape(-1, t.shape[-1])
+                scale[...] = 1.0 / t.std(axis=0)
+                if "bias" in params:
+                    params["bias"][...] = -t.mean(axis=0) / t.std(axis=0)
+            z, _ = layer.forward(z, MODE_SAMPLE, stream.child(idx))
+        got, want = nets[0].params(), nets[1].params()
+        assert got.keys() == want.keys()
+        for name in got:
+            assert_same_bits(got[name], want[name])
+
+
 class TestTracedCallSites:
     """The benchmark's tracer replaces layers.im2col, layers.col2im and
     autodiff.reparam_grads by name; a cnn-mnist step must reach them there,
@@ -359,3 +474,53 @@ class TestTracedCallSites:
         # two patch sets per conv forward (z and xi * z); conv0 makes no input gradient
         assert calls == {"im2col": 4, "col2im": 1, "reparam_grads": normalized}
         assert normalized == 4
+
+    @staticmethod
+    def count_im2col(monkeypatch, calls):
+        im2col = layers.im2col
+
+        def counted(*args):
+            calls["im2col"] += 1
+            return im2col(*args)
+        monkeypatch.setattr(layers, "im2col", counted)
+
+    def test_cnn_init_projects_each_conv_once(self, monkeypatch):
+        calls = Counter()
+        self.count_im2col(monkeypatch, calls)
+        net = build_network(parse_preset("cnn-mnist"), "nsm", NoiseModel.bernoulli(0.5), seed=1)
+        batch = np.random.default_rng(53).choice([-1.0, 1.0], size=(4, 1, 28, 28))
+        data_dependent_init(net, batch, RngStream(1).child(NS_INIT, 101))
+        # per conv: the init's projection, then only the noisy patches
+        assert calls == {"im2col": 4}
+
+    def test_cnn_mc_eval_calls_each_patch_point(self, monkeypatch):
+        calls = Counter()
+        self.count_im2col(monkeypatch, calls)
+        net = build_network(parse_preset("cnn-mnist"), "nsm", NoiseModel.bernoulli(0.5), seed=1)
+        for layer in net.layers:
+            def counted(*args, _fn=layer.forward, _name=layer.name):
+                calls[_name] += 1
+                return _fn(*args)
+            layer.forward = counted
+        rng = np.random.default_rng(54)
+        evaluate_mc(net, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
+                    rng.integers(0, 10, size=4), 3, RngStream(1).child(NS_EVAL), batch_size=4)
+        # conv0's patches of z once per batch; conv1's every pass; noisy patches every pass
+        assert calls == {"im2col": 1 + 3 * 3, **{layer.name: 3 for layer in net.layers}}
+
+    def test_cnn_mc_eval_peaks_below_forward(self):
+        net = build_small_net("nsm", "cnn-mnist", seed=21)
+        rng = np.random.default_rng(21)
+        x = rng.choice([-1.0, 1.0], size=(100, 1, 28, 28))
+        runs = {"forward": lambda: net.forward(x, MODE_SAMPLE, RngStream(21).child(NS_NOISE)),
+                "evaluate_mc": lambda: evaluate_mc(net, x, rng.integers(0, 10, size=100), 3,
+                                                   RngStream(21).child(NS_EVAL), 100)}
+        peaks = {}
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["evaluate_mc"] <= 0.55 * peaks["forward"]
