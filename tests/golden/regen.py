@@ -60,6 +60,12 @@ CASES = {
                                             noise="gaussian", noise_param=1.0,
                                             optimizer="adam", lr=0.01,
                                             log_gradients=True),
+    # SigmoidDetConv, the conventional conv counterpart, through the same stack
+    "cnn-sigmoid-det-adam": dict(preset="cnn-mnist", dataset="synthetic:xor-blobs",
+                                 dim=784, train_size=24, test_size=8, epochs=2,
+                                 batch_size=8, eval_every=1, mc_samples=2,
+                                 init_batch=16, seed=3, model="sigmoid-det",
+                                 optimizer="adam", lr=0.003),
 }
 
 # resumed after its first epoch, this case must give the uninterrupted run
