@@ -47,14 +47,13 @@ def check_erf_accuracy(points: int = 2001) -> CheckResult:
 
 
 def mc_firing_frequency(w: np.ndarray, model: NoiseModel, draws: int,
-                        stream: RngStream, chunk: int = 32768,
-                        shared: bool = True) -> np.ndarray:
+                        stream: RngStream, chunk: int = 32768) -> np.ndarray:
     """Monte Carlo estimate of P(+1) for rows of w at z = all-ones, b = 0.
 
-    Draws multiplicative noise at the neuron site. With shared=True all
-    weight rows see the same noise masks (each row still sees `draws`
-    independent samples, which is what the frequency estimate needs); this
-    turns the sweep into a few matrix products.
+    Draws multiplicative noise at the neuron site. All weight rows see the
+    same noise masks (each row still sees `draws` independent samples, which
+    is what the frequency estimate needs); this turns the sweep into a few
+    matrix products.
     """
     w = np.asarray(w, dtype=np.float64)
     fan_in = w.shape[1]

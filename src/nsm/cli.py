@@ -20,8 +20,8 @@ from .network import Network
 from .noise import NoiseModel
 from .presets import NSM_FAMILY, build_network, parse_preset
 from .rng import NS_EVAL, NS_INIT, RngStream
-from .training import (TrainConfig, TrainState, batches_done,
-                       data_dependent_init, evaluate_mc, make_optimizer, train)
+from .training import (TrainState, batches_done, data_dependent_init,
+                       evaluate_mc, make_optimizer, train)
 
 # every RunConfig field is a train flag (dashes for underscores); eval takes
 # the model from the checkpoint and only these from the command line
@@ -75,18 +75,6 @@ def resolve_datasets(cfg: RunConfig):
         return (load_mnist_dir(root, "train", conv=conv),
                 load_mnist_dir(root, "t10k", conv=conv))
     raise ConfigError(f"unknown dataset {cfg.dataset!r}")
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, optimizer=cfg.optimizer,
-        lr=cfg.lr, adam_beta1=cfg.adam_beta1, adam_beta2=cfg.adam_beta2,
-        adam_eps=cfg.adam_eps,
-        decay_start_epoch=None if cfg.decay_start_epoch < 0 else cfg.decay_start_epoch,
-        late_beta1=cfg.late_beta1,
-        max_iterations=None if cfg.max_iterations < 0 else cfg.max_iterations,
-        eval_every=cfg.eval_every, mc_samples=cfg.mc_samples,
-        record_percentiles=cfg.record_percentiles)
 
 
 def _descriptor(cfg: RunConfig, state: TrainState) -> dict:
@@ -146,8 +134,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"train set of {len(train_ds)} examples is smaller than "
                           f"one batch of {cfg.batch_size}")
     net = build_from_config(cfg)
-    tc = _train_config(cfg)
-    state = TrainState(network=net, optimizer=make_optimizer(tc), config=tc,
+    state = TrainState(network=net, optimizer=make_optimizer(cfg), config=cfg,
                        seed=cfg.seed,
                        mode=MODE_CONCRETE if cfg.model == "binconcrete" else MODE_SAMPLE)
     if args.resume:
@@ -228,16 +215,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# analyses that sum up each metrics.csv in one row: (summary, printed line)
+_METRICS_SUMMARIES = {
+    "drift": (analyze_mod.percentile_drift,
+              "{path}: p50 std {p50_std:.6f} over {records} records (band {band_mean:.4f})"),
+    "error": (analyze_mod.error_window,
+              "{path}: mean error {mean_error:.4f} over {evaluations} evaluations "
+              "(best {best_error:.4f})"),
+}
+
+
 def cmd_analyze(args) -> int:
     kind = args.kind
     window = args.window if args.window and args.window > 0 else None
     rows = []
-    if kind == "drift":
+    if kind in _METRICS_SUMMARIES:
+        summarize, line = _METRICS_SUMMARIES[kind]
         for path in args.inputs:
-            summary = analyze_mod.percentile_drift(analyze_mod.read_metrics_csv(path), window)
+            summary = summarize(analyze_mod.read_metrics_csv(path), window)
             rows.append({"metrics": path, **summary})
-            print(f"{path}: p50 std {summary['p50_std']:.6f} over "
-                  f"{summary['records']} records (band {summary['band_mean']:.4f})")
+            print(line.format(path=path, **summary))
     elif kind == "weights":
         for path in args.inputs:
             for row in analyze_mod.weight_statistics(path):
@@ -250,12 +247,6 @@ def cmd_analyze(args) -> int:
                 hist_rows.extend({"checkpoint": path, **row}
                                  for row in analyze_mod.weight_histograms(path, args.bins))
             analyze_mod.write_rows_csv(args.hist_out, hist_rows)
-    elif kind == "error":
-        for path in args.inputs:
-            summary = analyze_mod.error_window(analyze_mod.read_metrics_csv(path), window)
-            rows.append({"metrics": path, **summary})
-            print(f"{path}: mean error {summary['mean_error']:.4f} over "
-                  f"{summary['evaluations']} evaluations (best {summary['best_error']:.4f})")
     elif kind == "cosine":
         if len(args.inputs) != 2:
             raise ConfigError("analyze cosine needs exactly two gradient dumps")

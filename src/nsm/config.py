@@ -22,7 +22,28 @@ def _parse_bool(text: str) -> bool:
 
 
 @dataclass
-class RunConfig:
+class TrainConfig:
+    """What the training loop reads; -1 switches a schedule or a cap off."""
+    epochs: int = 1
+    batch_size: int = 100
+    optimizer: str = "sgd"              # sgd | adam
+    lr: float = 0.1
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    # linear lr decay to zero between decay_start_epoch and epochs, with the
+    # first-moment coefficient dropping to late_beta1 over the same span
+    decay_start_epoch: int = -1         # -1 disables the schedule
+    late_beta1: float = 0.5
+    max_iterations: int = -1            # global cap on minibatches; -1 means none
+    eval_every: int = 1                 # epochs between test evaluations
+    mc_samples: int = 10
+    record_percentiles: bool = True
+
+
+@dataclass
+class RunConfig(TrainConfig):
+    """A whole run: the training settings plus model, noise, data and seed."""
     preset: str = "mlp-784-300-300-300-10"
     model: str = "nsm"
     dataset: str = "synthetic:two-gaussians"
@@ -30,22 +51,9 @@ class RunConfig:
     noise: str = "bernoulli"            # gaussian | bernoulli
     noise_param: float = 0.5            # variance for gaussian, rate for bernoulli
     site: str = "neuron"                # neuron | synapse
-    epochs: int = 1
-    batch_size: int = 100
-    optimizer: str = "sgd"
-    lr: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    decay_start_epoch: int = -1         # -1 disables the schedule
-    late_beta1: float = 0.5
-    max_iterations: int = -1            # -1 means no cap
-    eval_every: int = 1
-    mc_samples: int = 10
     seed: int = 0
     head_bias: bool = True
     init_batch: int = 100               # 0 disables data-dependent init
-    record_percentiles: bool = True
     dim: int = 16                       # synthetic feature count
     train_size: int = 2000
     test_size: int = 500

@@ -16,6 +16,8 @@ wnorm-binary-det baseline share one core: `_project` computes t and
 `_normalized_backward` gives the orthogonal gradients of x = scale t + bias
 and the effective weight v = (scale/||w||) w, from which each layer makes
 its own input gradient (a conv's through col2im, in (kh, kw, C) order).
+BaselineDense runs every comparison estimator and the plain readout from one
+table of activations; SigmoidDetConv is a BaselineDense over im2col patches.
 
 Every layer exposes:
     forward(z, mode, stream, shared=None) -> (out, cache)   mode: sample, mean, concrete
@@ -156,7 +158,42 @@ def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
     return total
 
 
-class NsmDense:
+class _UnitRows:
+    """A layer whose units each project the rows of its input. The hooks are
+    the dense case; _ConvMaps overrides them for convolutions."""
+
+    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 2, "dense weights must be (out, in)"
+
+    def __init__(self, name: str, w: np.ndarray):
+        self.name = name
+        self.w = np.array(w, dtype=np.float64)
+        if self.w.ndim != self._WEIGHT_NDIM:
+            raise ShapeError(f"{self._WEIGHT_LAYOUT}, got {self.w.shape}")
+
+    def _matrix(self) -> np.ndarray:
+        """Weights as (units, fan-in)."""
+        return self.w
+
+    def _rows(self, z):
+        """(vectors each unit projects, output grid): z itself, no grid."""
+        return z, None
+
+    def _to_output(self, flat, grid):
+        return flat
+
+    def _from_output(self, upstream):
+        return upstream
+
+    def _input_grad(self, s, v, cache):
+        """dL/dz from s = dL/d(rows @ v.T) (rows-shaped) and the weight v."""
+        return s @ v
+
+    def project(self, z):
+        """(s, t, norms) of the normalized projection of input z."""
+        return _project(self._matrix(), self._rows(z)[0])
+
+
+class NsmDense(_UnitRows):
     """Fully connected stochastic binary layer.
 
     deterministic=True keeps the noise model for the backward surface but
@@ -164,15 +201,10 @@ class NsmDense:
     deterministic baseline).
     """
 
-    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 2, "dense weights must be (out, in)"
-
     def __init__(self, name: str, w: np.ndarray, model: NoiseModel,
                  beta=None, a=None, bias=None, site: str = "neuron",
                  deterministic: bool = False):
-        self.name = name
-        self.w = np.array(w, dtype=np.float64)
-        if self.w.ndim != self._WEIGHT_NDIM:
-            raise ShapeError(f"{self._WEIGHT_LAYOUT}, got {self.w.shape}")
+        super().__init__(name, w)
         self.model = model
         model.scale  # force DegenerateNoiseError now rather than mid-training
         out = self.w.shape[0]
@@ -192,29 +224,6 @@ class NsmDense:
 
     def params(self):
         return {"w": self.w, "beta": self.beta, "bias": self.bias}
-
-    # hooks a convolution overrides: the rows each unit projects, the output layout
-    def _matrix(self) -> np.ndarray:
-        """Weights as (units, fan-in)."""
-        return self.w
-
-    def _rows(self, z):
-        """(vectors each unit projects, output grid): z itself, no grid."""
-        return z, None
-
-    def _to_output(self, flat, grid):
-        return flat
-
-    def _from_output(self, upstream):
-        return upstream
-
-    def _input_grad(self, s, v, cache):
-        """dL/dz from s = dL/dx (rows-shaped) and the effective weight v."""
-        return s @ v
-
-    def project(self, z):
-        """(s, t, norms) of the normalized projection of input z."""
-        return _project(self._matrix(), self._rows(z)[0])
 
     def forward(self, z, mode: str, stream: RngStream | None, shared: dict | None = None):
         z = np.asarray(z, dtype=np.float64)
@@ -280,7 +289,7 @@ class NsmDense:
                 self._input_grad(s, v, cache) if input_grad else None)
 
 
-class NormalizedHead:
+class NormalizedHead(_UnitRows):
     """Deterministic weight-normalized linear readout.
 
     Logits x = beta (w . z)/||w|| + bias: invariant to rescaling w, trained
@@ -289,8 +298,7 @@ class NormalizedHead:
 
     def __init__(self, name: str, w: np.ndarray, beta=None, bias=None,
                  bias_trainable: bool = True):
-        self.name = name
-        self.w = np.array(w, dtype=np.float64)
+        super().__init__(name, w)
         out = self.w.shape[0]
         self.beta = _per_unit(beta, out, fill=1.0)
         self.bias = _per_unit(bias, out)
@@ -301,9 +309,6 @@ class NormalizedHead:
         if self.bias_trainable:
             p["bias"] = self.bias
         return p
-
-    def project(self, z):
-        return _project(self.w, z)
 
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
@@ -322,58 +327,65 @@ class NormalizedHead:
         return grads, s @ v if input_grad else None
 
 
-class AffineHead:
-    """Plain logits = w z + b readout, for the non-normalized baselines."""
-
-    def __init__(self, name: str, w: np.ndarray, bias=None):
-        self.name = name
-        self.w = np.array(w, dtype=np.float64)
-        self.bias = _per_unit(bias, self.w.shape[0])
-
-    def params(self):
-        return {"w": self.w, "bias": self.bias}
-
-    def forward(self, z, mode, stream=None, shared=None):
-        z = np.asarray(z, dtype=np.float64)
-        return z @ self.w.T + self.bias, {"z": z}
-
-    def backward(self, cache, upstream, input_grad=True):
-        s = np.asarray(upstream, dtype=np.float64)
-        z = cache["z"]
-        return ({"w": s.T @ z, "bias": np.sum(s, axis=0)},
-                s @ self.w if input_grad else None)
-
-
 # ---------------------------------------------------------------------------
-# estimator baselines (dense)
+# estimator baselines and the plain readout: one activation per kind
 
 STNN = "stnn"
 BINARY_DET = "binary-det"
 WNORM_BINARY_DET = "wnorm-binary-det"
 NOISY_RECTIFIER = "noisy-rectifier"
 SIGMOID_DET = "sigmoid-det"
+AFFINE = "affine"
 
 BASELINE_KINDS = (STNN, BINARY_DET, WNORM_BINARY_DET, NOISY_RECTIFIER, SIGMOID_DET)
 
 
-class BaselineDense:
-    """Dense layer for the comparison estimators.
+def _stnn(u, mode, stream):
+    p = expit(u)
+    if mode == MODE_MEAN:
+        out = 2.0 * p - 1.0
+    else:
+        out = np.where(stream.generator().random(u.shape) < p, 1.0, -1.0)
+    return out, 2.0 * p * (1.0 - p)
+
+
+def _straight_through_sign(u, mode, stream):
+    return sign_activation(u), np.abs(u) <= 1.0
+
+
+def _noisy_rectifier(u, mode, stream):
+    act = u if mode == MODE_MEAN else u + stream.generator().standard_normal(u.shape)
+    return np.maximum(act, 0.0), (act > 0.0).astype(np.float64)
+
+
+def _sigmoid(u, mode, stream):
+    p = expit(u)
+    return p, p * (1.0 - p)
+
+
+# kind -> activation(u, mode, stream) -> (out, d out/du); None is the identity
+_ACTIVATIONS = {STNN: _stnn, BINARY_DET: _straight_through_sign,
+                WNORM_BINARY_DET: _straight_through_sign,
+                NOISY_RECTIFIER: _noisy_rectifier, SIGMOID_DET: _sigmoid, AFFINE: None}
+
+
+class BaselineDense(_UnitRows):
+    """Dense layer for the comparison estimators and the plain readout.
 
     stnn: stochastic +-1 states, P(+1)=sigmoid(u), u = w.z, slope 2 sigmoid'.
     binary-det: sign(u), straight-through with hard window |u| <= 1.
     wnorm-binary-det: sign(g t + b), straight-through; g plays beta's role.
     noisy-rectifier: relu(u + N(0,1)), pathwise backward through the mask.
     sigmoid-det: deterministic sigmoid(u) net.
+    affine: logits u = w z + b, the readout of the non-normalized baselines.
     """
 
     def __init__(self, name: str, kind: str, w: np.ndarray, bias=None, g=None):
-        if kind not in BASELINE_KINDS:
+        if kind not in _ACTIVATIONS:
             raise ConfigError(f"unknown baseline kind {kind!r}")
-        self.name = name
+        super().__init__(name, w)
         self.kind = kind
-        self.w = np.array(w, dtype=np.float64)
         out = self.w.shape[0]
-        self.has_bias = kind != STNN
         self.bias = _per_unit(bias, out)
         if kind == WNORM_BINARY_DET:
             self.g = _per_unit(g, out, fill=1.0)
@@ -382,63 +394,38 @@ class BaselineDense:
         p = {"w": self.w}
         if self.kind == WNORM_BINARY_DET:
             p["g"] = self.g
-        if self.has_bias:
+        if self.kind != STNN:
             p["bias"] = self.bias
         return p
 
-    def project(self, z):
-        return _project(self.w, z)
-
     def forward(self, z, mode, stream: RngStream | None = None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        k = self.kind
-        if k == WNORM_BINARY_DET:
-            _, t, norms = self.project(z)
-            u = self.g * t + self.bias
-            cache = {"z": z, "u": u, "stat": u, "t": t, "norms": norms}
+        rows, grid = self._rows(z)
+        cache = {"rows": rows, "in_shape": z.shape, "grid": grid}
+        if self.kind == WNORM_BINARY_DET:
+            _, cache["t"], cache["norms"] = _project(self._matrix(), rows)
+            u = self.g * cache["t"] + self.bias
         else:
-            u = z @ self.w.T + self.bias
-            cache = {"z": z, "u": u, "stat": u}
-        if k == STNN:
-            p = expit(u)
-            if mode == MODE_MEAN:
-                return 2.0 * p - 1.0, cache
-            draws = stream.generator().random(u.shape)
-            return np.where(draws < p, 1.0, -1.0), cache
-        if k in (BINARY_DET, WNORM_BINARY_DET):
-            return sign_activation(u), cache
-        if k == NOISY_RECTIFIER:
-            if mode == MODE_MEAN:
-                act = u
-            else:
-                act = u + stream.generator().standard_normal(u.shape)
-            cache["mask"] = (act > 0.0).astype(np.float64)
-            return np.maximum(act, 0.0), cache
-        # sigmoid-det
-        return expit(u), cache
+            u = rows @ self._matrix().T + self.bias
+        cache["u"] = cache["stat"] = u
+        activation = _ACTIVATIONS[self.kind]
+        out, cache["slope"] = (u, None) if activation is None else activation(u, mode, stream)
+        return self._to_output(out, grid), cache
 
     def backward(self, cache, upstream, input_grad=True):
-        upstream = np.asarray(upstream, dtype=np.float64)
-        z, u = cache["z"], cache["u"]
-        k = self.kind
-        if k == STNN:
-            p = expit(u)
-            s = upstream * (2.0 * p * (1.0 - p))
-        elif k in (BINARY_DET, WNORM_BINARY_DET):
-            s = upstream * (np.abs(u) <= 1.0)
-        elif k == NOISY_RECTIFIER:
-            s = upstream * cache["mask"]
-        else:  # sigmoid-det
-            p = expit(u)
-            s = upstream * (p * (1.0 - p))
-        if k == WNORM_BINARY_DET:
+        s = self._from_output(np.asarray(upstream, dtype=np.float64))
+        if cache["slope"] is not None:
+            s = s * cache["slope"]
+        v, rows = self._matrix(), cache["rows"]   # v: the weight the rows meet
+        if self.kind == WNORM_BINARY_DET:
             dw, d_g, d_bias, v = _normalized_backward(
-                self.w, self.g, cache["norms"], z, cache["t"], s, input_grad)
-            return {"w": dw, "g": d_g, "bias": d_bias}, s @ v if input_grad else None
-        grads = {"w": s.T @ z}
-        if self.has_bias:
-            grads["bias"] = np.sum(s, axis=0)
-        return grads, s @ self.w if input_grad else None
+                v, self.g, cache["norms"], rows, cache["t"], s, input_grad)
+            grads = {"w": dw, "g": d_g, "bias": d_bias}
+        else:
+            grads = {"w": _kernel_grad(s, rows).reshape(self.w.shape)}
+            if self.kind != STNN:
+                grads["bias"] = np.sum(s.reshape(-1, s.shape[-1]), axis=0)
+        return grads, self._input_grad(s, v, cache) if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +476,8 @@ class _ConvMaps:
     """What a convolution adds to a layer over unit vectors: each output unit
     projects the im2col patches of z, and outputs are (B, K, oh, ow) maps."""
 
+    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 4, "conv weights must be (K, C, kh, kw)"
+
     def _matrix(self):
         return self.w.reshape(self.w.shape[0], -1)
 
@@ -520,8 +509,6 @@ class NsmConv(_ConvMaps, NsmDense):
     patches.
     """
 
-    _WEIGHT_NDIM, _WEIGHT_LAYOUT = 4, "conv weights must be (K, C, kh, kw)"
-
     def __init__(self, name: str, w: np.ndarray, model: NoiseModel,
                  beta=None, a=None, bias=None, stride: int = 1, pad: int = 0,
                  deterministic: bool = False):
@@ -531,33 +518,13 @@ class NsmConv(_ConvMaps, NsmDense):
         self.pad = int(pad)
 
 
-class SigmoidDetConv(_ConvMaps):
+class SigmoidDetConv(_ConvMaps, BaselineDense):
     """Deterministic conv + sigmoid, the conventional counterpart network."""
 
     def __init__(self, name: str, w: np.ndarray, bias=None, stride: int = 1, pad: int = 0):
-        self.name = name
-        self.w = np.array(w, dtype=np.float64)
-        self.bias = _per_unit(bias, self.w.shape[0])
+        super().__init__(name, SIGMOID_DET, w, bias=bias)
         self.stride = int(stride)
         self.pad = int(pad)
-        self.kind = SIGMOID_DET
-
-    def params(self):
-        return {"w": self.w, "bias": self.bias}
-
-    def forward(self, z, mode, stream=None, shared=None):
-        z = np.asarray(z, dtype=np.float64)
-        patches, grid = self._rows(z)
-        u = patches @ self._matrix().T + self.bias
-        return self._to_output(expit(u), grid), {"in_shape": z.shape, "patches": patches,
-                                                  "grid": grid, "u": u, "stat": u}
-
-    def backward(self, cache, upstream, input_grad=True):
-        p = expit(cache["u"])
-        s = self._from_output(np.asarray(upstream, np.float64)) * (p * (1.0 - p))
-        dw = _kernel_grad(s, cache["patches"]).reshape(self.w.shape)
-        return ({"w": dw, "bias": np.sum(s, axis=(0, 1))},
-                self._input_grad(s, self._matrix(), cache) if input_grad else None)
 
 
 class _Plumbing:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .layers import (AffineHead, BaselineDense, Flatten, GlobalAvgPool,
+from .layers import (AFFINE, BaselineDense, Flatten, GlobalAvgPool,
                      MaxPool2, NormalizedHead, NsmConv, NsmDense,
                      SigmoidDetConv, glorot)
 from .network import Network
@@ -142,7 +142,7 @@ def build_network(arch: ArchSpec, model: str = "nsm",
             if nsm_like:
                 layers.append(NormalizedHead("head", w, bias_trainable=head_bias))
             else:
-                layers.append(AffineHead("head", w))
+                layers.append(BaselineDense("head", AFFINE, w))
             shape = (classes,)
         else:
             raise ConfigError(f"unknown arch op {kind!r}")

@@ -13,29 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import ConfigError, InitError
 from .layers import MODE_MEAN, MODE_SAMPLE
 from .network import Network, check_finite_grads, softmax
 from .rng import NS_EVAL, NS_NOISE, NS_SHUFFLE, RngStream
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 1
-    batch_size: int = 100
-    optimizer: str = "sgd"          # sgd | adam
-    lr: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # linear lr decay to zero between decay_start_epoch and epochs, with the
-    # first-moment coefficient dropping to late_beta1 over the same span
-    decay_start_epoch: int | None = None
-    late_beta1: float = 0.5
-    max_iterations: int | None = None   # global cap, counts minibatches
-    eval_every: int | None = None       # epochs between test evaluations
-    mc_samples: int = 10
-    record_percentiles: bool = True
 
 
 @dataclass
@@ -111,7 +93,7 @@ def make_optimizer(config: TrainConfig):
 
 def schedule(config: TrainConfig, epoch: int):
     """(lr_scale, beta1) for this epoch under the linear-decay schedule."""
-    if config.decay_start_epoch is None or epoch < config.decay_start_epoch:
+    if config.decay_start_epoch < 0 or epoch < config.decay_start_epoch:
         return 1.0, None
     span = max(config.epochs - config.decay_start_epoch, 1)
     frac = min((epoch - config.decay_start_epoch) / span, 1.0)
@@ -182,7 +164,7 @@ def train_epoch(state: TrainState, train_inputs, train_labels,
     t0 = time.monotonic()
     for start in range(batches_done(state, n) * cfg.batch_size, n - n % cfg.batch_size,
                        cfg.batch_size):
-        if cfg.max_iterations is not None and state.iteration >= cfg.max_iterations:
+        if 0 <= cfg.max_iterations <= state.iteration:
             break
         idx = order[start:start + cfg.batch_size]
         loss, grads, caches = train_batch(state, train_inputs[idx], train_labels[idx])
@@ -202,8 +184,7 @@ def train_epoch(state: TrainState, train_inputs, train_labels,
     else:
         state.epoch = ended         # not on a max_iterations cut
     if (test_inputs is not None and new_records
-            and (cfg.eval_every is None or ended % cfg.eval_every == 0
-                 or ended == cfg.epochs)):
+            and (ended % cfg.eval_every == 0 or ended == cfg.epochs)):
         err = evaluate_mc(net, test_inputs, test_labels, cfg.mc_samples,
                           state.stream.child(NS_EVAL, ended))
         new_records[-1].test_error = err
@@ -213,8 +194,7 @@ def train_epoch(state: TrainState, train_inputs, train_labels,
 def train(state: TrainState, train_inputs, train_labels,
           test_inputs=None, test_labels=None, grad_log: dict | None = None):
     while state.epoch < state.config.epochs:
-        if state.config.max_iterations is not None \
-                and state.iteration >= state.config.max_iterations:
+        if 0 <= state.config.max_iterations <= state.iteration:
             break
         train_epoch(state, train_inputs, train_labels, test_inputs, test_labels,
                     grad_log)

@@ -44,7 +44,7 @@ def report(criterion: str, passed: bool, detail: str):
 
 def fit(model, preset, data, *, seed, epochs, batch_size, lr=0.1,
         optimizer="sgd", site="neuron", head_bias=True, init_batch=100,
-        max_iterations=None, mc_samples=10, record_percentiles=True,
+        max_iterations=-1, mc_samples=10, record_percentiles=True,
         grad_log=None, noise=None, eval_every=1):
     """Train through the same wiring cmd_train uses, returning the state."""
     train_ds, test_ds = data

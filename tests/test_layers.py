@@ -12,8 +12,8 @@ from nsm.autodiff import fd_against, reparam_grads
 from nsm.core import (activation_probability, erf_probability, erf_slope,
                       preactivation, sign_activation)
 from nsm.errors import ConfigError, ShapeError
-from nsm.layers import (BASELINE_KINDS, MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE,
-                        AffineHead, BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
+from nsm.layers import (AFFINE, BASELINE_KINDS, MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE,
+                        BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
                         NormalizedHead, NsmConv, NsmDense, SigmoidDetConv,
                         _logit, _synapse_chunk_rows, col2im, im2col)
 from nsm.network import cross_entropy_dlogits, softmax
@@ -324,7 +324,7 @@ class TestHeads:
 
     def test_affine_head_matches_fd(self):
         rng = np.random.default_rng(26)
-        head = AffineHead("h", rng.normal(size=(3, 5)), bias=rng.normal(size=3))
+        head = BaselineDense("h", AFFINE, rng.normal(size=(3, 5)), bias=rng.normal(size=3))
         z = rng.normal(size=(4, 5))
         upstream = rng.normal(size=(4, 3))
         out, cache = head.forward(z, MODE_MEAN)
@@ -634,7 +634,7 @@ class TestConvReference:
         grads, _ = layer.backward(cache, upstream)
         p = expit(cache["u"])
         s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * (p * (1.0 - p))
-        dw = np.einsum("bpk,bpd->kd", s, cache["patches"]).reshape(layer.w.shape)
+        dw = np.einsum("bpk,bpd->kd", s, cache["rows"]).reshape(layer.w.shape)
         assert_close_rel(grads["w"], dw)
 
 
@@ -671,6 +671,87 @@ class TestConvInputGradient:
             p = expit(cache["u"])
             s = up * (p * (1.0 - p))
             assert_same_bits(dz, col2im_nchw(s @ wf, z.shape, ksize, ksize, stride, pad, grid))
+
+
+def baseline_reference(kind, w, bias, g, z, mode, stream, upstream):
+    """A baseline layer's (out, grads, dz), written out per kind."""
+    if kind == "wnorm-binary-det":
+        norms = np.sqrt(np.sum(w * w, axis=1))
+        t = (z @ w.T) / norms
+        u = g * t + bias
+    else:
+        u = z @ w.T + bias
+    if kind == "stnn":
+        p = expit(u)
+        out = 2.0 * p - 1.0 if mode == MODE_MEAN else \
+            np.where(stream.generator().random(u.shape) < p, 1.0, -1.0)
+        s = upstream * (2.0 * p * (1.0 - p))
+    elif kind in ("binary-det", "wnorm-binary-det"):
+        out = sign_activation(u)
+        s = upstream * (np.abs(u) <= 1.0)
+    elif kind == "noisy-rectifier":
+        act = u if mode == MODE_MEAN else u + stream.generator().standard_normal(u.shape)
+        out = np.maximum(act, 0.0)
+        s = upstream * (act > 0.0).astype(np.float64)
+    elif kind == "sigmoid-det":
+        out = expit(u)
+        s = upstream * (out * (1.0 - out))
+    else:   # affine
+        out, s = u, upstream
+    if kind == "wnorm-binary-det":
+        d_g = np.einsum("nk,nk->k", s, t)
+        grads = {"w": reparam_grads(w, norms, g, s.T @ z, d_g), "g": d_g,
+                 "bias": np.sum(s, axis=0)}
+        return out, grads, s @ ((g / norms)[:, None] * w)
+    grads = {"w": s.T @ z}
+    if kind != "stnn":
+        grads["bias"] = np.sum(s, axis=0)
+    return out, grads, s @ w
+
+
+def assert_layer_bits(layer, z, mode, want_out, want_grads, want_dz, upstream, stream):
+    out, cache = layer.forward(z, mode, stream)
+    assert_same_bits(out, want_out)
+    grads, dz = layer.backward(cache, upstream)
+    assert list(grads) == list(want_grads)
+    for key in grads:
+        assert_same_bits(grads[key], want_grads[key])
+    assert_same_bits(dz, want_dz)
+
+
+class TestBaselineTable:
+    """Every kind of the activation table, and the sigmoid conv built on it,
+    against its forward and backward written out, bit for bit."""
+
+    @pytest.mark.parametrize("mode", [MODE_SAMPLE, MODE_MEAN])
+    @pytest.mark.parametrize("kind", BASELINE_KINDS + (AFFINE,))
+    def test_dense_kind(self, kind, mode):
+        rng = np.random.default_rng([len(kind), len(mode)])
+        w, z = rng.normal(size=(5, 7)), rng.normal(size=(6, 7))
+        bias = 0.0 if kind == "stnn" else 0.3 * rng.normal(size=5)
+        g = rng.uniform(0.5, 1.5, size=5) if kind == "wnorm-binary-det" else None
+        upstream = rng.normal(size=(6, 5))
+        stream = RngStream(4).child(NS_NOISE, 1)
+        want = baseline_reference(kind, w, bias, g, z, mode, stream, upstream)
+        layer = BaselineDense("b", kind, w, bias=None if kind == "stnn" else bias, g=g)
+        assert_layer_bits(layer, z, mode, *want, upstream, stream)
+
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_sigmoid_conv(self, stride, pad):
+        rng = np.random.default_rng([stride, pad])
+        wts, bias = rng.normal(size=(4, 3, 3, 3)), 0.1 * rng.normal(size=4)
+        z = rng.normal(size=(2, 3, 7, 6))
+        patches, grid = im2col(z, 3, 3, stride, pad)
+        wf = wts.reshape(4, -1)
+        p = expit(patches @ wf.T + bias)
+        out = p.reshape(2, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
+        upstream = rng.normal(size=out.shape)
+        s = upstream.transpose(0, 2, 3, 1).reshape(2, -1, 4) * (p * (1.0 - p))
+        grads = {"w": (s.reshape(-1, 4).T @ patches.reshape(-1, 27)).reshape(wts.shape),
+                 "bias": np.sum(s, axis=(0, 1))}
+        dz = col2im_nchw(s @ wf, z.shape, 3, 3, stride, pad, grid)
+        layer = SigmoidDetConv("c", wts, bias=bias, stride=stride, pad=pad)
+        assert_layer_bits(layer, z, MODE_MEAN, out, grads, dz, upstream, None)
 
 
 class TestSigmoidDetConv:
@@ -821,11 +902,11 @@ def every_layer_kind():
     flat, maps = rng.choice([-1.0, 1.0], size=(4, 6)), rng.choice([-1.0, 1.0], size=(2, 2, 5, 5))
     cases = [(NsmDense("NsmDense", w, model), flat),
              (NsmConv("NsmConv", kernels, model, pad=1), maps),
-             (NormalizedHead("NormalizedHead", w), flat), (AffineHead("AffineHead", w), flat),
+             (NormalizedHead("NormalizedHead", w), flat),
              (SigmoidDetConv("SigmoidDetConv", kernels, stride=2), maps),
              (MaxPool2("MaxPool2"), maps), (Flatten("Flatten"), maps),
              (GlobalAvgPool("GlobalAvgPool"), maps)]
-    cases += [(BaselineDense(kind, kind, w), flat) for kind in BASELINE_KINDS]
+    cases += [(BaselineDense(kind, kind, w), flat) for kind in BASELINE_KINDS + (AFFINE,)]
     return [pytest.param(layer, z, id=layer.name) for layer, z in cases]
 
 
