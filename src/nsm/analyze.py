@@ -20,19 +20,15 @@ METRICS_HEADER = ["iteration", "epoch", "loss", "test_error",
 
 
 def write_metrics_csv(path: str, records):
-    """Serialize MetricsRecord rows; floats via repr for stable re-reads."""
+    """Serialize MetricsRecord rows; floats via repr for stable re-reads, None
+    as a blank cell."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(METRICS_HEADER)
         for r in records:
-            writer.writerow([
-                r.iteration, r.epoch, repr(float(r.loss)),
-                "" if r.test_error is None else repr(float(r.test_error)),
-                "" if r.p15 is None else repr(float(r.p15)),
-                "" if r.p50 is None else repr(float(r.p50)),
-                "" if r.p85 is None else repr(float(r.p85)),
-                repr(float(r.seconds)),
-            ])
+            writer.writerow([r.iteration, r.epoch] + [
+                "" if v is None else repr(float(v))
+                for v in (r.loss, r.test_error, r.p15, r.p50, r.p85, r.seconds)])
 
 
 def read_metrics_csv(path: str) -> dict[str, np.ndarray]:

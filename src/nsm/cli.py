@@ -55,25 +55,22 @@ def _noise_model(cfg: RunConfig) -> NoiseModel:
 
 
 def resolve_datasets(cfg: RunConfig):
-    """(train, test) LabeledDatasets for the configured source."""
-    arch = parse_preset(cfg.preset)
-    conv = len(arch.input_shape) == 3
+    """(train, test) LabeledDatasets of flat examples for the configured source."""
     if cfg.dataset.startswith("synthetic:"):
         kind = cfg.dataset.split(":", 1)[1]
         total = synthetic_dataset(kind, cfg.train_size + cfg.test_size,
-                                  cfg.seed, dim=cfg.dim, for_conv=conv)
+                                  cfg.seed, dim=cfg.dim)
         return (LabeledDataset(total.inputs[:cfg.train_size],
                                total.labels[:cfg.train_size], total.num_classes),
                 LabeledDataset(total.inputs[cfg.train_size:],
                                total.labels[cfg.train_size:], total.num_classes))
     if cfg.dataset == "digits":
-        return load_digits_dataset(cfg.seed, conv=conv)
+        return load_digits_dataset(cfg.seed)
     if cfg.dataset == "mnist":
         root = cfg.data_dir or os.environ.get("NSM_MNIST_DIR", "")
         if not root:
             raise ConfigError("dataset mnist needs --data-dir or NSM_MNIST_DIR")
-        return (load_mnist_dir(root, "train", conv=conv),
-                load_mnist_dir(root, "t10k", conv=conv))
+        return load_mnist_dir(root, "train"), load_mnist_dir(root, "t10k")
     raise ConfigError(f"unknown dataset {cfg.dataset!r}")
 
 
@@ -158,6 +155,7 @@ def cmd_train(args) -> int:
         n = min(cfg.init_batch, len(train_ds))
         data_dependent_init(net, train_ds.inputs[:n],
                             RngStream(cfg.seed).child(NS_INIT, 101))
+    net._prep(train_ds.inputs[:1])   # an example the preset cannot take fails here
     os.makedirs(args.out, exist_ok=True)
     grad_log = {} if args.log_gradients else None
     blew_up = None

@@ -1,8 +1,9 @@
 """Datasets: IDX files, binarization, synthetic generators, the 8x8 digit
 sets.
 
-All training inputs are sign-binary (+-1) float64 arrays; labels are int64
-class indices. LabeledDataset validates both at construction.
+All training inputs are sign-binary (+-1) float64 rows (N, D), which the
+network shapes to its input; labels are int64 class indices. LabeledDataset
+validates both at construction.
 """
 
 from __future__ import annotations
@@ -90,12 +91,9 @@ def binarize_unit(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return np.where(np.asarray(values, dtype=np.float64) > threshold, 1.0, -1.0)
 
 
-def load_mnist_dir(root: str, kind: str = "train", conv: bool = False) -> LabeledDataset:
-    """Load an MNIST-layout directory of IDX files.
-
-    Accepts the canonical file names with or without .gz; kind is "train"
-    or "t10k". conv=True keeps (N, 1, 28, 28), else flattens to (N, 784).
-    """
+def load_mnist_dir(root: str, kind: str = "train") -> LabeledDataset:
+    """An MNIST-layout directory of IDX files as (N, 784) inputs; accepts the
+    canonical file names with or without .gz. kind is "train" or "t10k"."""
     def find(stem):
         for name in (stem, stem + ".gz"):
             p = os.path.join(root, name)
@@ -105,14 +103,11 @@ def load_mnist_dir(root: str, kind: str = "train", conv: bool = False) -> Labele
 
     images = load_idx(find(f"{kind}-images-idx3-ubyte"))
     labels = load_idx(find(f"{kind}-labels-idx1-ubyte")).astype(np.int64)
-    x = binarize_sign(images)
-    x = x[:, None, :, :] if conv else x.reshape(x.shape[0], -1)
-    return LabeledDataset(x, labels, 10)
+    return LabeledDataset(binarize_sign(images).reshape(len(images), -1), labels, 10)
 
 
-def synthetic_dataset(kind: str, n: int, seed: int, dim: int = 16,
-                      for_conv: bool = False) -> LabeledDataset:
-    """Seeded synthetic binary classification sets.
+def synthetic_dataset(kind: str, n: int, seed: int, dim: int = 16) -> LabeledDataset:
+    """Seeded synthetic binary classification sets of (n, dim) inputs.
 
     two-gaussians: class means +-3 sigma apart per feature, sign-binarized;
     linearly separable with margin, so tiny models learn it in a few epochs.
@@ -138,33 +133,24 @@ def synthetic_dataset(kind: str, n: int, seed: int, dim: int = 16,
             rest], axis=1)
     else:
         raise DataError(f"unknown synthetic dataset {kind!r}")
-    if for_conv:
-        side = int(np.sqrt(dim))
-        if side * side != dim:
-            raise DataError(f"dim {dim} is not square, cannot reshape for conv")
-        x = x.reshape(n, 1, side, side)
     return LabeledDataset(x, labels, 2)
 
 
 def _seeded_split(images: np.ndarray, labels: np.ndarray, seed: int,
-                  test_fraction: float, conv: bool):
-    """Seeded train/test split of (N, 8, 8) +-1 images with 10 classes.
-
-    The first round(N * test_fraction) entries of one seeded permutation
-    form the test set. conv=True keeps (N, 1, 8, 8), else flattens to
-    (N, 64). Returns (train, test) LabeledDatasets.
-    """
+                  test_fraction: float):
+    """Seeded (train, test) LabeledDatasets of (N, 8, 8) +-1 images with 10
+    classes, flattened to (N, 64): the first round(N * test_fraction) entries
+    of one seeded permutation form the test set."""
     n = images.shape[0]
     order = RngStream(seed).child(NS_DATA, 1).generator().permutation(n)
     n_test = int(round(n * test_fraction))
     test_idx, train_idx = order[:n_test], order[n_test:]
-    x = images[:, None, :, :] if conv else images.reshape(n, -1)
+    x = images.reshape(n, -1)
     return (LabeledDataset(x[train_idx], labels[train_idx], 10),
             LabeledDataset(x[test_idx], labels[test_idx], 10))
 
 
-def load_digits_dataset(seed: int = 0, test_fraction: float = 0.25,
-                        conv: bool = False):
+def load_digits_dataset(seed: int = 0, test_fraction: float = 0.25):
     """sklearn's bundled 8x8 digits, binarized, seeded 75/25 split.
 
     Returns (train, test) LabeledDatasets. Raises DataError if scikit-learn
@@ -176,8 +162,7 @@ def load_digits_dataset(seed: int = 0, test_fraction: float = 0.25,
         raise DataError("scikit-learn is required for the digits dataset") from e
     bunch = load_digits()
     return _seeded_split(binarize_unit(bunch.images / 16.0),
-                         bunch.target.astype(np.int64), seed, test_fraction,
-                         conv)
+                         bunch.target.astype(np.int64), seed, test_fraction)
 
 
 # 8x8 bit templates of the digits 0-9, side by side ('#' ink -> +1, '.'
@@ -200,7 +185,7 @@ GLYPH_FLIP_RATE = 0.1     # per-pixel sign-flip probability
 GLYPH_TEST_FRACTION = 0.25
 
 
-def digit_glyphs_dataset(seed: int = 0, conv: bool = False):
+def digit_glyphs_dataset(seed: int = 0):
     """Seeded, dependency-free 10-class 8x8 +-1 set; the offline desk data.
 
     GLYPH_SAMPLES samples with balanced labels (class counts differ by at
@@ -227,4 +212,4 @@ def digit_glyphs_dataset(seed: int = 0, conv: bool = False):
     images = padded[np.arange(n)[:, None, None], rows[:, :, None],
                     cols[:, None, :]]
     images = np.where(flips, -images, images)
-    return _seeded_split(images, labels, seed, GLYPH_TEST_FRACTION, conv)
+    return _seeded_split(images, labels, seed, GLYPH_TEST_FRACTION)

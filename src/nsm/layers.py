@@ -23,6 +23,7 @@ Every layer exposes:
     forward(z, mode, stream, shared=None) -> (out, cache)   mode: sample, mean, concrete
     backward(cache, upstream, input_grad=True) -> (param grad dict, d_input)
     params() -> dict of live (in-place mutable) arrays
+    draws_noise(mode) -> whether forward in that mode draws from its stream
 backward skips the input gradient and returns None for it when input_grad
 is False, as the network does for its first layer.
 
@@ -192,6 +193,9 @@ class _UnitRows:
         """(s, t, norms) of the normalized projection of input z."""
         return _project(self._matrix(), self._rows(z)[0])
 
+    def draws_noise(self, mode: str) -> bool:
+        return False
+
 
 class NsmDense(_UnitRows):
     """Fully connected stochastic binary layer.
@@ -224,6 +228,9 @@ class NsmDense(_UnitRows):
 
     def params(self):
         return {"w": self.w, "beta": self.beta, "bias": self.bias}
+
+    def draws_noise(self, mode):
+        return mode == MODE_CONCRETE or (mode == MODE_SAMPLE and not self.deterministic)
 
     def forward(self, z, mode: str, stream: RngStream | None, shared: dict | None = None):
         z = np.asarray(z, dtype=np.float64)
@@ -398,6 +405,9 @@ class BaselineDense(_UnitRows):
             p["bias"] = self.bias
         return p
 
+    def draws_noise(self, mode):
+        return self.kind in (STNN, NOISY_RECTIFIER) and mode != MODE_MEAN
+
     def forward(self, z, mode, stream: RngStream | None = None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         rows, grid = self._rows(z)
@@ -535,6 +545,9 @@ class _Plumbing:
 
     def params(self):
         return {}
+
+    def draws_noise(self, mode):
+        return False
 
     def backward(self, cache, upstream, input_grad=True):
         if not input_grad:

@@ -6,7 +6,8 @@ stream.child(layer_index), so a layer's draws depend only on
 
 predict is the one-stream case of passes, which runs the Monte Carlo
 passes over one input. A sample-mode pass builds no backward cache, and
-what no pass changes is computed once per call.
+what no pass changes is computed once per call, or the whole pass when no
+layer draws noise.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ class Network:
             raise ShapeError(f"duplicate layer names: {names}")
 
     def _prep(self, z: np.ndarray) -> np.ndarray:
+        """z as float64 examples of input_shape: as given when so shaped, else
+        each example reshaped in C order from any layout of the same size."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape[1:] != self.input_shape:
-            if len(self.input_shape) == 1 and int(np.prod(z.shape[1:])) == self.input_shape[0]:
-                z = z.reshape(z.shape[0], -1)
-            else:
+            if np.prod(z.shape[1:]) != np.prod(self.input_shape):
                 raise ShapeError(f"input shape {z.shape[1:]} != expected {self.input_shape}")
+            z = z.reshape(z.shape[:1] + self.input_shape)
         return z
 
     def forward(self, z, mode: str = MODE_SAMPLE, stream: RngStream | None = None):
@@ -71,13 +73,17 @@ class Network:
 
     def passes(self, z, mode: str, streams):
         """forward's logits over z for each stream in turn, keeping no caches.
-        Each layer keeps what no pass changes in a dict they share (`layers`)."""
+        Each layer keeps what no pass changes in a dict they share (`layers`);
+        a stack that draws no noise in this mode runs once, for every stream."""
         z = self._prep(z)
         shared = [{"z": z}] + [{} for _ in self.layers[1:]]
+        noisy = any(layer.draws_noise(mode) for layer in self.layers)
+        out = None
         for stream in streams:
-            out = z
-            for idx, layer in enumerate(self.layers):
-                out = layer.forward(out, mode, stream and stream.child(idx), shared[idx])[0]
+            if noisy or out is None:
+                out = z
+                for idx, layer in enumerate(self.layers):
+                    out = layer.forward(out, mode, stream and stream.child(idx), shared[idx])[0]
             yield out
 
     def backward(self, caches, dlogits):

@@ -207,10 +207,10 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     """Error rate with Monte Carlo averaging of softmax outputs.
 
     Each of the mc_samples passes runs the stochastic forward on the whole
-    set; the per-class probabilities are averaged across passes and the
-    argmax is compared to the labels. Deterministic models produce the same
-    pass every time, so mc_samples=1 is enough for them. Network.passes
-    does the work the passes over a batch share once.
+    set; the per-class probabilities are summed across passes and the
+    argmax is compared to the labels. Network.passes does the work the
+    passes over a batch share once, and a model that draws no noise (a
+    deterministic one) runs one pass per batch, summed mc_samples times.
     """
     n = inputs.shape[0]
     wrong = 0
@@ -238,8 +238,7 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
     layers and the head, g for the weight-normalized binary baseline. A
     convolution's positions count as batch entries.
     """
-    z = np.asarray(batch, dtype=np.float64)
-    z = network._prep(z)
+    z = network._prep(batch)
     for idx, layer in enumerate(network.layers):
         params = layer.params()
         scale = params.get("beta", params.get("g"))

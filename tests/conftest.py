@@ -34,23 +34,10 @@ def glyphs():
 
 
 @pytest.fixture(scope="session")
-def glyphs_conv():
-    """Same split shaped (N, 1, 8, 8) for convolutional models."""
-    return digit_glyphs_dataset(seed=0, conv=True)
-
-
-@pytest.fixture(scope="session")
 def digits():
     """Deterministic 75/25 split of the 8x8 digits set, flat +-1 inputs."""
     pytest.importorskip("sklearn")
     return load_digits_dataset(seed=0)
-
-
-@pytest.fixture(scope="session")
-def digits_conv():
-    """Same split shaped (N, 1, 8, 8) for convolutional models."""
-    pytest.importorskip("sklearn")
-    return load_digits_dataset(seed=0, conv=True)
 
 
 def split_synthetic(kind: str, train: int, test: int, seed: int, dim: int = 16):

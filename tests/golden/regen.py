@@ -66,6 +66,13 @@ CASES = {
                                  batch_size=8, eval_every=1, mc_samples=2,
                                  init_batch=16, seed=3, model="sigmoid-det",
                                  optimizer="adam", lr=0.003),
+    # the DVS all-conv net on flat synthetic rows the network shapes to (6, 64, 64):
+    # pad 1, 1x1 convs and GlobalAvgPool. Without data-dependent init, whose
+    # standardized layers here drive the loss to the 1e-7 probability clamp
+    "allcnn-nsm-adam": dict(preset="allcnn-dvs", dataset="synthetic:xor-blobs",
+                            dim=24576, train_size=4, test_size=2, epochs=1,
+                            batch_size=2, eval_every=1, mc_samples=1, init_batch=0,
+                            seed=3, model="nsm", optimizer="adam", lr=0.003),
 }
 
 # resumed after its first epoch, this case must give the uninterrupted run

@@ -99,10 +99,9 @@ def mean_cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(dots / np.maximum(den, 1e-300)))
 
 
-def mnist_pair(conv=False):
+def mnist_pair():
     root = mnist_dir()
-    return (load_mnist_dir(root, "train", conv=conv),
-            load_mnist_dir(root, "t10k", conv=conv))
+    return load_mnist_dir(root, "train"), load_mnist_dir(root, "t10k")
 
 
 class TestCriterion1:
@@ -334,15 +333,15 @@ class TestCriterion6:
                f"matched seeds, MC-100: bnsm {[f'{e:.4f}' for e in bnsm]} "
                f"<= dcnn {[f'{e:.4f}' for e in dcnn]}")
 
-    def test_desk_property(self, digits_conv):
-        self.check_ordering(digits_conv, "desk")
+    def test_desk_property(self, digits):
+        self.check_ordering(digits, "desk")
 
-    def test_glyph_ordering(self, glyphs_conv):
-        self.check_ordering(glyphs_conv, "glyphs")
+    def test_glyph_ordering(self, glyphs):
+        self.check_ordering(glyphs, "glyphs")
 
     @requires_mnist
     def test_mnist_error_rate(self):
-        data = mnist_pair(conv=True)
+        data = mnist_pair()
         sb = fit("nsm", "cnn-mnist", data, seed=1, epochs=20, batch_size=100,
                  optimizer="adam", lr=3e-4, eval_every=5)
         err_b = final_mc_error(sb, data[1], mc=100)
@@ -357,7 +356,7 @@ class TestCriterion6:
     @requires_mnist
     @requires_extended
     def test_mnist_extended_tier(self):
-        data = mnist_pair(conv=True)
+        data = mnist_pair()
         sb = fit("nsm", "cnn-mnist", data, seed=1, epochs=200, batch_size=100,
                  optimizer="adam", lr=3e-4, eval_every=10)
         err_b = final_mc_error(sb, data[1], mc=100)

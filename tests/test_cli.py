@@ -284,6 +284,21 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # a size the preset cannot take fails before output, with or without init
+    @pytest.mark.parametrize("preset, dim, init_batch, want", [
+        ("cnn-mnist", 16, 0, "input shape (16,) != expected (1, 28, 28)"),
+        ("cnn-mnist", 17, 32, "input shape (17,) != expected (1, 28, 28)"),
+        ("mlp-20-4-2", 16, 0, "input shape (16,) != expected (20,)"),
+        ("allcnn-dvs", 4096, 0, "input shape (4096,) != expected (6, 64, 64)")],
+        ids=["cnn-mnist-16", "cnn-mnist-17-init", "mlp-20-4-2-16", "allcnn-dvs-4096"])
+    def test_input_size_mismatch_exits_2_before_output(self, preset, dim, init_batch, want,
+                                                       tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(train_argv(out, preset=preset, dim=dim, init_batch=init_batch,
+                               train_size=16, test_size=4)) == 2
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
     # such a run would train 0 iterations and exit 0; at size 0 it would also
     # warn from data-dependent init on an empty slice
     @pytest.mark.parametrize("train_size", [10, 0])

@@ -102,13 +102,13 @@ class TestMnistDir:
             with open(os.path.join(root, f"{kind}-labels-idx1-ubyte.gz"), "wb") as f:
                 f.write(gzip.compress(idx_labels_bytes(labels)))
 
-    def test_loads_flat_and_conv(self, tmp_path):
+    def test_loads_flat(self, tmp_path):
         self.write_dir(str(tmp_path))
         train = load_mnist_dir(str(tmp_path), "train")
         assert train.inputs.shape == (6, 784)
         assert set(np.unique(train.inputs)) <= {-1.0, 1.0}
-        test = load_mnist_dir(str(tmp_path), "t10k", conv=True)
-        assert test.inputs.shape == (4, 1, 28, 28)
+        test = load_mnist_dir(str(tmp_path), "t10k")
+        assert test.inputs.shape == (4, 784)
         assert test.num_classes == 10
 
     def test_missing_file_raises(self, tmp_path):
@@ -146,14 +146,6 @@ class TestSyntheticData:
             acc = max(((ds.inputs[:, j] > 0) == (ds.labels == 1)).mean(),
                       ((ds.inputs[:, j] < 0) == (ds.labels == 1)).mean())
             assert acc < 0.55
-
-    def test_conv_reshape(self):
-        ds = synthetic_dataset("two-gaussians", 10, seed=7, dim=16,
-                               for_conv=True)
-        assert ds.inputs.shape == (10, 1, 4, 4)
-        with pytest.raises(DataError):
-            synthetic_dataset("two-gaussians", 10, seed=7, dim=10,
-                              for_conv=True)
 
     def test_unknown_kind(self):
         with pytest.raises(DataError):
@@ -193,10 +185,6 @@ class TestDigitsDataset:
         np.testing.assert_array_equal(a_train.inputs, b_train.inputs)
         assert not np.array_equal(a_train.inputs, c_train.inputs)
 
-    def test_conv_shape(self, digits_conv):
-        train, _ = digits_conv
-        assert train.inputs.shape[1:] == (1, 8, 8)
-
 
 class TestDigitGlyphsDataset:
 
@@ -211,13 +199,9 @@ class TestDigitGlyphsDataset:
 
     def test_sign_inputs_and_shapes(self):
         train, test = digit_glyphs_dataset(seed=0)
-        conv_train, conv_test = digit_glyphs_dataset(seed=0, conv=True)
         assert train.inputs.shape == (len(train), 64)
-        assert conv_train.inputs.shape == (len(train), 1, 8, 8)
+        assert test.inputs.shape == (len(test), 64)
         assert set(np.unique(train.inputs)) == {-1.0, 1.0}
-        np.testing.assert_array_equal(conv_train.inputs.reshape(len(train), 64),
-                                      train.inputs)
-        np.testing.assert_array_equal(conv_test.labels, test.labels)
 
     def test_balanced_ten_classes_and_split(self):
         train, test = digit_glyphs_dataset(seed=0)

@@ -11,7 +11,7 @@ import pytest
 from nsm import autodiff, layers
 from nsm.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from nsm.data import synthetic_dataset
-from nsm.errors import InitError, NanGradientError
+from nsm.errors import InitError, NanGradientError, ShapeError
 from nsm.layers import MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, NormalizedHead, NsmDense
 from nsm.network import (Network, check_finite_grads, cross_entropy_loss,
                          softmax)
@@ -336,6 +336,29 @@ class TestPredict:
         assert peaks["predict"] <= 0.8 * peaks["forward"]
 
 
+class TestPrep:
+    """Network._prep alone maps examples to the preset's input_shape."""
+
+    @pytest.mark.parametrize("preset", ["mlp-16-8-2", "cnn-mnist", "allcnn-dvs"])
+    def test_flat_rows_take_the_input_shape(self, preset):
+        net = Network([], parse_preset(preset).input_shape)
+        size = int(np.prod(net.input_shape))
+        flat = np.random.default_rng(29).choice([-1.0, 1.0], size=(3, size))
+        got = net._prep(flat)
+        assert got.shape == (3,) + net.input_shape
+        np.testing.assert_array_equal(got, flat.reshape((3,) + net.input_shape, order="C"))
+        shaped = flat.reshape(got.shape)
+        assert net._prep(shaped) is shaped   # no reshape, no copy
+        with pytest.raises(ShapeError, match=r"input shape \(\d+,\) != expected"):
+            net._prep(flat[:, 1:])
+
+    def test_size_mismatch_names_both_shapes(self):
+        net = Network([], parse_preset("allcnn-dvs").input_shape)
+        with pytest.raises(ShapeError) as err:
+            net._prep(np.ones((2, 4096)))
+        assert str(err.value) == "input shape (4096,) != expected (6, 64, 64)"
+
+
 def reference_eval(net, x, y, mc, stream, batch_size, mode):
     """evaluate_mc written out on the caching forward: (error, every pass's logits)."""
     wrong, passes = 0, []
@@ -403,6 +426,30 @@ class TestSharedPasses:
         net = build_small_net(model, "cnn-mnist", seed=26)
         x = np.random.default_rng(26).choice([-1.0, 1.0], size=(5, 1, 28, 28))
         self.assert_matches_forward(net, x, mode, mc, monkeypatch, batch_size=3)
+
+    # a stack that draws no noise in the mode runs once per batch, whatever mc
+    @pytest.mark.parametrize("model, mode, noisy", [
+        ("nsm", MODE_SAMPLE, True), ("nsm", MODE_CONCRETE, True), ("nsm", MODE_MEAN, False),
+        ("binconcrete", MODE_SAMPLE, True), ("binconcrete", MODE_CONCRETE, True),
+        ("stnn", MODE_SAMPLE, True), ("noisy-rectifier", MODE_SAMPLE, True),
+        ("stnn", MODE_MEAN, False), ("binary-erf", MODE_SAMPLE, False),
+        ("binary-erf", MODE_CONCRETE, True), ("binary-det", MODE_SAMPLE, False),
+        ("wnorm-binary-det", MODE_SAMPLE, False), ("sigmoid-det", MODE_SAMPLE, False)])
+    def test_layer_forwards_per_batch(self, model, mode, noisy, monkeypatch):
+        net = build_small_net(model, "mlp-20-16-10-4", seed=30)
+        x = np.random.default_rng(30).choice([-1.0, 1.0], size=(23, 20))
+        calls = Counter()
+        for layer in net.layers:
+            def counted(*args, _fn=layer.forward, _name=layer.name):
+                calls[_name] += 1
+                return _fn(*args)
+            layer.forward = counted
+        mc, batches = 4, 3
+        self.assert_matches_forward(net, x, mode, mc, monkeypatch)
+        calls.clear()
+        evaluate_mc(net, x, np.zeros(23, dtype=np.int64), mc, RngStream(30), 10, mode)
+        assert calls == {layer.name: batches * (mc if noisy else 1) for layer in net.layers}
+        assert any(layer.draws_noise(mode) for layer in net.layers) == noisy
 
     @pytest.mark.parametrize("preset, site", [("cnn-mnist", "neuron"),
                                               ("mlp-20-16-10-4", "synapse")])
