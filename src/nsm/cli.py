@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
         n = min(cfg.init_batch, len(train_ds))
         data_dependent_init(net, train_ds.inputs[:n],
                             RngStream(cfg.seed).child(NS_INIT, 101))
-    net._prep(train_ds.inputs[:1])   # an example the preset cannot take fails here
+    net._prep(train_ds.inputs[:1])   # a size the preset cannot take fails before any output
     os.makedirs(args.out, exist_ok=True)
     grad_log = {} if args.log_gradients else None
     blew_up = None
