@@ -48,12 +48,6 @@ def _resolve_config(args) -> RunConfig:
     return _apply_overrides(cfg, args, _CONFIG_KEYS)
 
 
-def _noise_model(cfg: RunConfig) -> NoiseModel:
-    if cfg.noise == "gaussian":
-        return NoiseModel.gaussian(cfg.noise_param)
-    return NoiseModel.bernoulli(cfg.noise_param)
-
-
 def resolve_datasets(cfg: RunConfig):
     """(train, test) LabeledDatasets of flat examples for the configured source."""
     if cfg.dataset.startswith("synthetic:"):
@@ -120,8 +114,8 @@ def _restore_moments(optimizer, moments: dict):
 
 
 def build_from_config(cfg: RunConfig) -> Network:
-    return build_network(parse_preset(cfg.preset), cfg.model, _noise_model(cfg),
-                         cfg.site, cfg.head_bias, cfg.seed)
+    return build_network(parse_preset(cfg.preset), cfg.model,
+                         NoiseModel(cfg.noise, cfg.noise_param), cfg.site, cfg.head_bias, cfg.seed)
 
 
 def cmd_train(args) -> int:

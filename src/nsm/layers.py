@@ -27,12 +27,12 @@ Every layer exposes:
 backward skips the input gradient and returns None for it when input_grad
 is False, as the network does for its first layer.
 
-A forward given a `shared` dict returns no backward cache. It keeps in
-that dict what the next forward with the same weights computes alike: the
-row norms and raw bias, and a s too when shared["z"] is its input, as for
-the first layer of Monte Carlo passes over one batch. A caller that has
-projected z may put its s and norms there. A sampled forward that projects
-z itself drops the rows as soon as their product exists.
+Every layer given a `shared` dict returns (out, None), no backward cache.
+It keeps there what the next forward with the same weights computes alike:
+the row norms and raw bias, and the product no draw changes
+(`_UnitRows._product`) when shared["z"] is its input, as for the first layer
+of Monte Carlo passes over one batch. A caller that has projected z may put
+its s and norms there.
 """
 
 from __future__ import annotations
@@ -193,6 +193,19 @@ class _UnitRows:
         """(s, t, norms) of the normalized projection of input z."""
         return _project(self._matrix(), self._rows(z)[0])
 
+    def _product(self, z, shared, op, value):
+        """s = rows @ w.T of z finished in place by op(s, value): what no draw
+        changes in a sampled pass. Taken from the caller's shared["s"] or made
+        from rows that die here, before any noisy rows exist; kept as
+        shared["product"] when z is shared["z"]."""
+        s = shared.get("product")
+        if s is None:
+            s = shared.pop("s") if "s" in shared else self._rows(z)[0] @ self._matrix().T
+            op(s, value, out=s)
+            if shared.get("z") is z:
+                shared["product"] = s
+        return s
+
     def draws_noise(self, mode: str) -> bool:
         return False
 
@@ -234,21 +247,10 @@ class NsmDense(_UnitRows):
 
     def forward(self, z, mode: str, stream: RngStream | None, shared: dict | None = None):
         z = np.asarray(z, dtype=np.float64)
-        w = self._matrix()
         if mode == MODE_SAMPLE and not self.deterministic and shared is not None:
-            norms = _memo(shared, "norms", lambda: _row_norms(w))
-            a_s = shared.get("a_s")
-            if a_s is None:
-                a_s = shared.pop("s", None)      # z's mean product, when the caller has it
-                if a_s is None:
-                    a_s = self._rows(z)[0] @ w.T   # its rows die here, before the noisy ones exist
-                a_s *= self.a
-                if shared.get("z") is z:         # every forward gets this z: keep a s for them
-                    shared["a_s"] = a_s
-            return self._sample(z, w, a_s, _memo(shared, "b_raw", lambda: self._b_raw(norms)),
-                                stream), None
+            return self._sample(z, shared, stream), None
         rows, grid = self._rows(z)
-        s, t, norms = _project(w, rows)
+        s, t, norms = _project(self._matrix(), rows)
         x = t * self.beta
         x += self.bias
         cache = {"rows": rows, "in_shape": z.shape, "grid": grid,
@@ -257,20 +259,20 @@ class NsmDense(_UnitRows):
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
         elif mode == MODE_SAMPLE:
-            s *= self.a   # s is not cached; it holds a s from here on
-            return self._sample(z, w, s, self._b_raw(norms), stream), cache
+            return self._sample(z, {"s": s, "norms": norms}, stream), cache
         elif mode == MODE_CONCRETE:
             out, cache["relax"] = _concrete_relax(x, stream)
         else:
             raise ConfigError(f"unknown forward mode {mode!r}")
         return self._to_output(out, grid), cache if shared is None else None
 
-    def _b_raw(self, norms):
-        return self.bias * self.model.scale * norms
-
-    def _sample(self, z, w, a_s, b_raw, stream):
-        """sign(u), u = noisy product + a_s + b_raw: every sampled forward's
-        output, with a_s = a (rows @ w.T) for the rows of z (left unchanged)."""
+    def _sample(self, z, shared, stream):
+        """sign(u), u = noisy product + a s + b_raw: every sampled forward's
+        output, with the norms, a s and b_raw of z (left unchanged) in shared."""
+        w = self._matrix()
+        norms = _memo(shared, "norms", lambda: _row_norms(w))
+        a_s = self._product(z, shared, np.multiply, self.a)
+        b_raw = _memo(shared, "b_raw", lambda: self.bias * self.model.scale * norms)
         grid = None
         if self.site == "neuron":
             noisy, grid = self._rows(sample_noise(self.model, z.shape, stream) * z)
@@ -410,6 +412,9 @@ class BaselineDense(_UnitRows):
 
     def forward(self, z, mode, stream: RngStream | None = None, shared=None):
         z = np.asarray(z, dtype=np.float64)
+        activation = _ACTIVATIONS[self.kind]
+        if shared is not None and self.draws_noise(mode):   # dense kinds only: no grid
+            return activation(self._product(z, shared, np.add, self.bias), mode, stream)[0], None
         rows, grid = self._rows(z)
         cache = {"rows": rows, "in_shape": z.shape, "grid": grid}
         if self.kind == WNORM_BINARY_DET:
@@ -418,9 +423,8 @@ class BaselineDense(_UnitRows):
         else:
             u = rows @ self._matrix().T + self.bias
         cache["u"] = cache["stat"] = u
-        activation = _ACTIVATIONS[self.kind]
         out, cache["slope"] = (u, None) if activation is None else activation(u, mode, stream)
-        return self._to_output(out, grid), cache
+        return self._to_output(out, grid), cache if shared is None else None
 
     def backward(self, cache, upstream, input_grad=True):
         s = self._from_output(np.asarray(upstream, dtype=np.float64))
@@ -596,7 +600,7 @@ class MaxPool2(_Plumbing):
 class Flatten(_Plumbing):
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        return z.reshape(z.shape[0], -1), {"in_shape": z.shape}
+        return z.reshape(z.shape[0], -1), {"in_shape": z.shape} if shared is None else None
 
     def _input_grad(self, cache, upstream):
         return upstream.reshape(cache["in_shape"])
@@ -605,7 +609,7 @@ class Flatten(_Plumbing):
 class GlobalAvgPool(_Plumbing):
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        return z.mean(axis=(2, 3)), {"in_shape": z.shape}
+        return z.mean(axis=(2, 3)), {"in_shape": z.shape} if shared is None else None
 
     def _input_grad(self, cache, upstream):
         b, c, h, w = cache["in_shape"]

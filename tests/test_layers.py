@@ -942,3 +942,20 @@ class TestInputGradSkip:
         assert grads.keys() == want.keys()
         for key in want:
             assert_same_bits(grads[key], want[key])
+
+
+class TestSharedForward:
+    """Every layer given a shared dict returns (out, None) with the caching
+    forward's bits, and one that draws no noise in the mode ignores its stream
+    (what Network.passes relies on to run such a stack once)."""
+
+    @pytest.mark.parametrize("mode", [MODE_SAMPLE, MODE_MEAN, MODE_CONCRETE])
+    @pytest.mark.parametrize("layer,z", every_layer_kind())
+    def test_same_bits_and_no_cache(self, layer, z, mode):
+        want, cache = layer.forward(z, mode, RngStream(6).child(NS_NOISE))
+        assert cache is not None
+        out, none = layer.forward(z, mode, RngStream(6).child(NS_NOISE), {})
+        assert none is None
+        assert_same_bits(out, want)
+        if not layer.draws_noise(mode):
+            assert_same_bits(layer.forward(z, mode, RngStream(7).child(NS_NOISE), {})[0], out)

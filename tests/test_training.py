@@ -451,26 +451,44 @@ class TestSharedPasses:
         assert calls == {layer.name: batches * (mc if noisy else 1) for layer in net.layers}
         assert any(layer.draws_noise(mode) for layer in net.layers) == noisy
 
-    @pytest.mark.parametrize("preset, site", [("cnn-mnist", "neuron"),
-                                              ("mlp-20-16-10-4", "synapse")])
-    def test_shared_keeps_only_what_the_sampled_path_reads(self, preset, site):
-        net = build_small_net("nsm", preset, seed=28, site=site)
+    @pytest.mark.parametrize("model, preset, site", [("nsm", "cnn-mnist", "neuron"),
+                                                     ("nsm", "mlp-20-16-10-4", "synapse"),
+                                                     ("stnn", "mlp-20-16-10-4", "neuron")])
+    def test_shared_keeps_only_what_the_sampled_path_reads(self, model, preset, site):
+        net = build_small_net(model, preset, seed=28, site=site)
         z = net._prep(np.random.default_rng(28).choice([-1.0, 1.0],
                                                        size=(4,) + net.input_shape))
         shared = [{"z": z}] + [{} for _ in net.layers[1:]]
-        normalized = [isinstance(layer, (NsmDense, NormalizedHead)) for layer in net.layers]
         for s in range(2):
             out = z
             for idx, layer in enumerate(net.layers):
                 out, cache = layer.forward(out, MODE_SAMPLE, RngStream(28).child(s, idx),
                                            shared[idx])
-                assert cache is None or not normalized[idx]
-        # never the rows, t or x; a s only where every pass has the same input
-        assert set(shared[0]) == {"z", "norms", "b_raw", "a_s"}
+                assert cache is None
+        # never the rows, t or x; the product only where every pass has the same input
+        normalized = model == "nsm"
+        assert set(shared[0]) == ({"z", "norms", "b_raw", "product"} if normalized
+                                  else {"z", "product"})
         for layer, kept in zip(net.layers[1:], shared[1:]):
             want = {"norms", "b_raw"} if isinstance(layer, NsmDense) else {"norms"}
             assert set(kept) == (want if isinstance(layer, (NsmDense, NormalizedHead))
                                  else set())
+
+    # layer 0's w z + b is formed once per batch; a deeper layer's input changes per pass
+    @pytest.mark.parametrize("model", ["stnn", "noisy-rectifier"])
+    def test_baselines_share_the_first_product(self, model):
+        net = build_small_net(model, "mlp-20-16-10-4", seed=31)
+        x = np.random.default_rng(31).choice([-1.0, 1.0], size=(23, 20))
+        calls = Counter()
+        for layer in net.layers:
+            def counted(z, _fn=layer._rows, _name=layer.name):
+                calls[_name] += 1
+                return _fn(z)
+            layer._rows = counted
+        mc, batches = 4, 3
+        evaluate_mc(net, x, np.zeros(23, dtype=np.int64), mc, RngStream(31), 10)
+        assert calls == {layer.name: batches * (1 if idx == 0 else mc)
+                         for idx, layer in enumerate(net.layers)}
 
     @pytest.mark.parametrize("model, preset, site", [
         ("nsm", "cnn-mnist", "neuron"), ("binary-erf", "cnn-mnist", "neuron"),
