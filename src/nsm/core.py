@@ -31,9 +31,15 @@ SITE_SYNAPSE = "synapse"
 ERF_SLOPE0 = 2.0 / np.sqrt(np.pi)
 
 
-def sign_activation(u) -> np.ndarray:
-    """Binary threshold: +1 where u >= 0, else -1 (zero maps to +1)."""
-    out = np.array(np.asarray(u) >= 0, dtype=np.float64)
+def sign_activation(u, out=None) -> np.ndarray:
+    """Binary threshold: +1 where u >= 0, else -1 (zero maps to +1).
+
+    Written into out when given, which may be u itself.
+    """
+    if out is None:
+        out = np.array(np.asarray(u) >= 0, dtype=np.float64)
+    else:
+        np.greater_equal(u, 0, out=out)
     out *= 2.0
     out -= 1.0
     return out

@@ -31,8 +31,13 @@ Every layer given a `shared` dict returns (out, None), no backward cache.
 It keeps there what the next forward with the same weights computes alike:
 the row norms and raw bias, and the product no draw changes
 (`_UnitRows._product`) when shared["z"] is its input, as for the first layer
-of Monte Carlo passes over one batch. A caller that has projected z may put
-its s and norms there.
+of Monte Carlo passes over one batch. "product" is the only kept key that
+depends on the input, so a caller may keep the dict across inputs by
+replacing "z" and dropping "product". A caller that has projected z may put
+its s and norms there; the forward takes s over.
+
+A product whose rows no backward reads goes through `_UnitRows._times_w`,
+which a convolution forms one batch chunk of patches at a time.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ def _per_unit(value, out: int, fill: float = 0.0) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(value, dtype=np.float64), (out,)))
 
 
-def _project(w: np.ndarray, rows: np.ndarray, norms=None):
+def _project(w: np.ndarray, rows: np.ndarray):
     """(s, t, norms) with s = rows @ w.T and t = s / ||w_k||; rows (..., D), w (K, D)."""
-    norms = _row_norms(w) if norms is None else norms
+    norms = _row_norms(w)
     s = rows @ w.T
     return s, s / norms, norms
 
@@ -128,13 +133,15 @@ def _concrete_relax(x: np.ndarray, stream: RngStream):
     return 2.0 * relaxed - 1.0, r
 
 
-# Synapse-site noise is drawn in batch chunks of about this many bytes, so
-# memory is bounded by the chunk rather than by B * out * in.
-_SYNAPSE_CHUNK_BYTES = 2 << 20
+# Synapse-site noise and conv patches that no backward reads are made in
+# batch chunks of about this many bytes, so memory is bounded by the chunk
+# rather than by the batch.
+_CHUNK_BYTES = 2 << 20
 
 
-def _synapse_chunk_rows(w: np.ndarray) -> int:
-    return max(1, _SYNAPSE_CHUNK_BYTES // (8 * w.size))
+def _chunk_rows(values_per_row: int) -> int:
+    """Batch rows per chunk of float64 rows of values_per_row each; at least one."""
+    return max(1, _CHUNK_BYTES // (8 * values_per_row))
 
 
 def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
@@ -145,7 +152,7 @@ def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
     values of sample_noise(model, (B,) + w.shape, stream) in one draw.
     """
     gen = stream.generator()
-    rows = _synapse_chunk_rows(w)
+    rows = _chunk_rows(w.size)
     total = np.empty((z.shape[0], w.shape[0]))
     for lo in range(0, z.shape[0], rows):
         zc = z[lo:lo + rows]
@@ -179,6 +186,15 @@ class _UnitRows:
         """(vectors each unit projects, output grid): z itself, no grid."""
         return z, None
 
+    def _grid(self, z):
+        """The output grid of input z, as _rows gives it."""
+        return None
+
+    def _times_w(self, z):
+        """(rows(z) @ w.T, grid) for rows that no backward reads: one GEMM."""
+        rows, grid = self._rows(z)
+        return rows @ self._matrix().T, grid
+
     def _to_output(self, flat, grid):
         return flat
 
@@ -191,7 +207,9 @@ class _UnitRows:
 
     def project(self, z):
         """(s, t, norms) of the normalized projection of input z."""
-        return _project(self._matrix(), self._rows(z)[0])
+        norms = _row_norms(self._matrix())
+        s = self._times_w(z)[0]
+        return s, s / norms, norms
 
     def _product(self, z, shared, op, value):
         """s = rows @ w.T of z finished in place by op(s, value): what no draw
@@ -200,11 +218,16 @@ class _UnitRows:
         shared["product"] when z is shared["z"]."""
         s = shared.get("product")
         if s is None:
-            s = shared.pop("s") if "s" in shared else self._rows(z)[0] @ self._matrix().T
+            s = shared.pop("s") if "s" in shared else self._times_w(z)[0]
             op(s, value, out=s)
             if shared.get("z") is z:
                 shared["product"] = s
         return s
+
+    def _shared_t(self, z, shared):
+        """t = s / norms of z by _product, for a forward that keeps no cache."""
+        norms = _memo(shared, "norms", lambda: _row_norms(self._matrix()))
+        return self._product(z, shared, np.divide, norms)
 
     def draws_noise(self, mode: str) -> bool:
         return False
@@ -249,8 +272,12 @@ class NsmDense(_UnitRows):
         z = np.asarray(z, dtype=np.float64)
         if mode == MODE_SAMPLE and not self.deterministic and shared is not None:
             return self._sample(z, shared, stream), None
-        rows, grid = self._rows(z)
-        s, t, norms = _project(self._matrix(), rows)
+        if shared is None:
+            rows, grid = self._rows(z)
+            s, t, norms = _project(self._matrix(), rows)
+        else:   # no backward: t from the caller's s or from rows that die at once
+            rows, grid, norms = None, self._grid(z), None
+            t = self._shared_t(z, shared)
         x = t * self.beta
         x += self.bias
         cache = {"rows": rows, "in_shape": z.shape, "grid": grid,
@@ -258,7 +285,7 @@ class NsmDense(_UnitRows):
         if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
             out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
                 else 2.0 * erf_probability(x) - 1.0
-        elif mode == MODE_SAMPLE:
+        elif mode == MODE_SAMPLE:   # the caching forward: shared is None
             return self._sample(z, {"s": s, "norms": norms}, stream), cache
         elif mode == MODE_CONCRETE:
             out, cache["relax"] = _concrete_relax(x, stream)
@@ -275,8 +302,7 @@ class NsmDense(_UnitRows):
         b_raw = _memo(shared, "b_raw", lambda: self.bias * self.model.scale * norms)
         grid = None
         if self.site == "neuron":
-            noisy, grid = self._rows(sample_noise(self.model, z.shape, stream) * z)
-            u = noisy @ w.T
+            u, grid = self._times_w(sample_noise(self.model, z.shape, stream) * z)
             u += a_s
             u += b_raw
         elif self.site == "synapse":
@@ -284,7 +310,7 @@ class NsmDense(_UnitRows):
             u += synapse_noise_sum(w, z, self.model, stream)
         else:
             raise ConfigError(f"unknown noise site {self.site!r}")
-        return self._to_output(sign_activation(u), grid)
+        return self._to_output(sign_activation(u, out=u), grid)
 
     def backward(self, cache, upstream, input_grad=True):
         upstream = self._from_output(np.asarray(upstream, dtype=np.float64))
@@ -321,10 +347,10 @@ class NormalizedHead(_UnitRows):
 
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        norms = None if shared is None else _memo(shared, "norms", lambda: _row_norms(self.w))
-        _, t, norms = _project(self.w, z, norms)
-        cache = {"z": z, "t": t, "norms": norms} if shared is None else None
-        return self.beta * t + self.bias, cache
+        if shared is not None:
+            return self.beta * self._shared_t(z, shared) + self.bias, None
+        _, t, norms = _project(self.w, z)
+        return self.beta * t + self.bias, {"z": z, "t": t, "norms": norms}
 
     def backward(self, cache, upstream, input_grad=True):
         s = np.asarray(upstream, dtype=np.float64)
@@ -413,8 +439,11 @@ class BaselineDense(_UnitRows):
     def forward(self, z, mode, stream: RngStream | None = None, shared=None):
         z = np.asarray(z, dtype=np.float64)
         activation = _ACTIVATIONS[self.kind]
-        if shared is not None and self.draws_noise(mode):   # dense kinds only: no grid
-            return activation(self._product(z, shared, np.add, self.bias), mode, stream)[0], None
+        if shared is not None:
+            u = self.g * self._shared_t(z, shared) + self.bias if self.kind == WNORM_BINARY_DET \
+                else self._product(z, shared, np.add, self.bias)
+            out = u if activation is None else activation(u, mode, stream)[0]
+            return self._to_output(out, self._grid(z)), None
         rows, grid = self._rows(z)
         cache = {"rows": rows, "in_shape": z.shape, "grid": grid}
         if self.kind == WNORM_BINARY_DET:
@@ -424,7 +453,7 @@ class BaselineDense(_UnitRows):
             u = rows @ self._matrix().T + self.bias
         cache["u"] = cache["stat"] = u
         out, cache["slope"] = (u, None) if activation is None else activation(u, mode, stream)
-        return self._to_output(out, grid), cache if shared is None else None
+        return self._to_output(out, grid), cache
 
     def backward(self, cache, upstream, input_grad=True):
         s = self._from_output(np.asarray(upstream, dtype=np.float64))
@@ -451,18 +480,24 @@ def im2col(z: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     Patch feature order is (channel, kernel row, kernel col), matching a
     C-order flatten of (K, C, kh, kw) kernels.
     """
-    if z.ndim != 4:
-        raise ShapeError(f"conv input must be (B, C, H, W), got {z.shape}")
+    oh, ow = _conv_grid(z.shape, kh, kw, stride, pad)
     if pad:
         z = np.pad(z, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    b, c, h, w = z.shape
-    if h < kh or w < kw:
-        raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
+    b, c = z.shape[:2]
     win = np.lib.stride_tricks.sliding_window_view(z, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]          # (B, C, oh, ow, kh, kw)
-    oh, ow = win.shape[2], win.shape[3]
     patches = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
     return np.ascontiguousarray(patches), (oh, ow)
+
+
+def _conv_grid(in_shape, kh: int, kw: int, stride: int, pad: int):
+    """(oh, ow), the output grid of a (B, C, H, W) input's im2col."""
+    if len(in_shape) != 4:
+        raise ShapeError(f"conv input must be (B, C, H, W), got {tuple(in_shape)}")
+    h, w = in_shape[2] + 2 * pad, in_shape[3] + 2 * pad
+    if h < kh or w < kw:
+        raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
 def col2im(dpatches: np.ndarray, in_shape, kh: int, kw: int, stride: int, pad: int,
@@ -497,6 +532,21 @@ class _ConvMaps:
 
     def _rows(self, z):
         return im2col(z, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
+
+    def _grid(self, z):
+        return _conv_grid(z.shape, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
+
+    def _times_w(self, z):
+        # patches of one batch chunk at a time, within _CHUNK_BYTES unless the
+        # chunk is one example. A stacked matmul multiplies each example's
+        # patches on its own, so every entry has the unchunked product's bits.
+        w, grid = self._matrix(), self._grid(z)
+        positions = grid[0] * grid[1]
+        out = np.empty((z.shape[0], positions, w.shape[0]))
+        step = _chunk_rows(positions * w.shape[1])
+        for lo in range(0, z.shape[0], step):
+            np.matmul(self._rows(z[lo:lo + step])[0], w.T, out=out[lo:lo + step])
+        return out, grid
 
     def _to_output(self, flat, grid):
         return flat.reshape(flat.shape[0], grid[0], grid[1], -1).transpose(0, 3, 1, 2)

@@ -71,12 +71,17 @@ class Network:
         """Logits of the same pass as forward, keeping no backward caches."""
         return next(self.passes(z, mode, [stream]))
 
-    def passes(self, z, mode: str, streams):
+    def passes(self, z, mode: str, streams, shared=None):
         """forward's logits over z for each stream in turn, keeping no caches.
         Each layer keeps what no pass changes in a dict they share (`layers`);
-        a stack that draws no noise in this mode runs once, for every stream."""
+        a stack that draws no noise in this mode runs once, for every stream.
+        shared, one dict per layer, may carry the weights' memos over from a
+        call on other inputs with the same weights."""
         z = self._prep(z)
-        shared = [{"z": z}] + [{} for _ in self.layers[1:]]
+        if shared is None:
+            shared = [{} for _ in self.layers]
+        shared[0]["z"] = z
+        shared[0].pop("product", None)
         noisy = any(layer.draws_noise(mode) for layer in self.layers)
         out = None
         for stream in streams:

@@ -211,15 +211,17 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     argmax is compared to the labels. Network.passes does the work the
     passes over a batch share once, and a model that draws no noise (a
     deterministic one) runs one pass per batch, summed mc_samples times.
+    What depends on the weights alone is made once for all batches.
     """
     n = inputs.shape[0]
     wrong = 0
+    shared = [{} for _ in network.layers]
     for start in range(0, n, batch_size):
         xb = inputs[start:start + batch_size]
         yb = labels[start:start + batch_size]
         acc = np.zeros((xb.shape[0], network.layers[-1].w.shape[0]), dtype=np.float64)
         for logits in network.passes(xb, mode, (stream.child(s, start)
-                                                for s in range(mc_samples))):
+                                                for s in range(mc_samples)), shared):
             acc += softmax(logits)
         wrong += int(np.sum(np.argmax(acc, axis=1) != yb))
     return wrong / n

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from nsm import layers
 from nsm.autodiff import fd_against, reparam_grads
 from nsm.core import (activation_probability, erf_probability, erf_slope,
                       preactivation, sign_activation)
@@ -15,7 +16,7 @@ from nsm.errors import ConfigError, ShapeError
 from nsm.layers import (AFFINE, BASELINE_KINDS, MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE,
                         BaselineDense, Flatten, GlobalAvgPool, MaxPool2,
                         NormalizedHead, NsmConv, NsmDense, SigmoidDetConv,
-                        _logit, _synapse_chunk_rows, col2im, im2col)
+                        _chunk_rows, _logit, col2im, im2col)
 from nsm.network import cross_entropy_dlogits, softmax
 from nsm.noise import NoiseModel, beta_from_noise, sample_noise
 from nsm.presets import build_network, parse_preset
@@ -122,7 +123,7 @@ class TestSynapseChunks:
     @pytest.mark.parametrize("shape", [(300, 784), (30, 40)])
     def test_forward_matches_full_tensor(self, shape, model):
         layer = self.layer(shape, model)
-        rows = _synapse_chunk_rows(layer.w)
+        rows = _chunk_rows(layer.w.size)
         assert (rows == 1) == (shape == (300, 784))
         norms = np.sqrt(np.sum(layer.w * layer.w, axis=1))
         b_raw = layer.bias * model.scale * norms
@@ -671,6 +672,75 @@ class TestConvInputGradient:
             p = expit(cache["u"])
             s = up * (p * (1.0 - p))
             assert_same_bits(dz, col2im_nchw(s @ wf, z.shape, ksize, ksize, stride, pad, grid))
+
+
+class TestConvChunks:
+    """Conv products that no backward reads, formed one batch chunk of patches
+    at a time, against one unchunked im2col product, bit for bit."""
+
+    # the default budget (every batch here in one chunk), two examples' patches
+    # per chunk, and a budget below one example's patches
+    @pytest.mark.parametrize("budget, per_chunk", [(None, 5), (2.5, 2), (0.5, 1)])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_product_and_sample_match_one_product(self, ksize, stride, pad, budget, per_chunk,
+                                                  monkeypatch):
+        rng = np.random.default_rng([ksize, stride, pad, 7])
+        model = NoiseModel.gaussian(0.3)
+        layer = NsmConv("c", rng.normal(size=(4, 3, ksize, ksize)), model,
+                        a=0.2 * rng.normal(size=4), bias=0.1 * rng.normal(size=4),
+                        stride=stride, pad=pad)
+        wf = layer.w.reshape(4, -1)
+        _, grid = im2col(np.zeros((1, 3, 7, 6)), ksize, ksize, stride, pad)
+        example = grid[0] * grid[1] * wf.shape[1]   # one example's patch values
+        if budget is not None:
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", int(budget * 8 * example))
+        assert min(_chunk_rows(example), 5) == per_chunk
+        norms = np.sqrt(np.sum(wf * wf, axis=1))
+        b_raw = layer.bias * model.scale * norms
+        # one chunk, several, and a short last one
+        for b in (1, 2, 4, 5):
+            z = rng.choice([-1.0, 1.0], size=(b, 3, 7, 6))
+            patches, want_grid = im2col(z, ksize, ksize, stride, pad)
+            got, got_grid = layer._times_w(z)
+            assert got_grid == want_grid == layer._grid(z)
+            assert_same_bits(got, patches @ wf.T)
+
+            # the sampled output by the unchunked formula
+            stream = RngStream(9).child(NS_NOISE, b)
+            noisy, _ = im2col(sample_noise(model, z.shape, stream) * z, ksize, ksize, stride, pad)
+            u = noisy @ wf.T
+            u += (patches @ wf.T) * layer.a
+            u += b_raw
+            want = sign_activation(u).reshape(b, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
+            assert_same_bits(layer.forward(z, MODE_SAMPLE, stream, {})[0], want)
+            assert_same_bits(layer.forward(z, MODE_SAMPLE, stream)[0], want)
+
+    @pytest.mark.parametrize("mode", [MODE_SAMPLE, MODE_MEAN, MODE_CONCRETE])
+    def test_no_cache_forwards_keep_chunks_within_budget(self, mode, monkeypatch):
+        rng = np.random.default_rng(61)
+        kernels = rng.normal(size=(4, 3, 3, 3))
+        model = NoiseModel.bernoulli(0.5)
+        cases = [NsmConv("nsm", kernels, model, pad=1),
+                 NsmConv("det", kernels, model, pad=1, deterministic=True),
+                 SigmoidDetConv("sig", kernels, pad=1)]
+        z = rng.choice([-1.0, 1.0], size=(8, 3, 7, 6))
+        wants = [layer.forward(z, mode, RngStream(10).child(NS_NOISE))[0] for layer in cases]
+        # three examples' patches (7 x 6 positions, 27 values each) per chunk
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 3 * 8 * 42 * 27)
+        seen = []
+
+        def recorded(*args, _fn=layers.im2col):
+            patches, grid = _fn(*args)
+            seen.append((patches.shape[0], patches.nbytes))
+            return patches, grid
+        monkeypatch.setattr(layers, "im2col", recorded)
+        for layer, want in zip(cases, wants):
+            seen.clear()
+            assert_same_bits(layer.forward(z, mode, RngStream(10).child(NS_NOISE), {})[0], want)
+            products = 2 if layer.name == "nsm" and mode == MODE_SAMPLE else 1
+            assert sum(n for n, _ in seen) == products * len(z)
+            assert all(nbytes <= layers._CHUNK_BYTES or n == 1 for n, nbytes in seen)
 
 
 def baseline_reference(kind, w, bias, g, z, mode, stream, upstream):

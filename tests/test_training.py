@@ -490,6 +490,36 @@ class TestSharedPasses:
         assert calls == {layer.name: batches * (1 if idx == 0 else mc)
                          for idx, layer in enumerate(net.layers)}
 
+    # the row norms (and raw bias) depend on the weights alone: made once for
+    # every batch, and each batch's passes keep the caching forward's bits
+    @pytest.mark.parametrize("model", ["nsm", "binary-erf", "wnorm-binary-det"])
+    def test_weight_memos_made_once_per_eval(self, model, monkeypatch):
+        net = build_small_net(model, "mlp-20-16-10-4", seed=32)
+        x = np.random.default_rng(32).choice([-1.0, 1.0], size=(23, 20))
+        y = np.arange(23) % 4
+        stream = RngStream(32).child(NS_EVAL, 1)
+        want_err, want = reference_eval(net, x, y, 4, stream, 1, MODE_SAMPLE)
+        calls = Counter()
+        row_norms = layers._row_norms
+
+        def counted(w):
+            calls["norms"] += 1
+            return row_norms(w)
+        monkeypatch.setattr(layers, "_row_norms", counted)
+        normalized = sum("beta" in layer.params() or "g" in layer.params()
+                         for layer in net.layers)
+        shared = [{} for _ in net.layers]
+        got = [logits for start in range(len(x))
+               for logits in net.passes(x[start:start + 1], MODE_SAMPLE,
+                                        (stream.child(s, start) for s in range(4)), shared)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        assert calls == {"norms": normalized} and normalized >= 2
+        calls.clear()
+        assert evaluate_mc(net, x, y, 4, stream, batch_size=1) == want_err
+        assert calls == {"norms": normalized}
+
     @pytest.mark.parametrize("model, preset, site", [
         ("nsm", "cnn-mnist", "neuron"), ("binary-erf", "cnn-mnist", "neuron"),
         ("nsm", "mlp-20-16-10-4", "synapse"), ("wnorm-binary-det", "mlp-20-16-10-4", "neuron")])
@@ -557,6 +587,25 @@ class TestTracedCallSites:
         data_dependent_init(net, batch, RngStream(1).child(NS_INIT, 101))
         # per conv: the init's projection, then only the noisy patches
         assert calls == {"im2col": 4}
+
+    # a layer without noise takes the init's projection too: every layer forms
+    # its rows once
+    @pytest.mark.parametrize("model, preset, convs", [("binary-erf", "cnn-mnist", 2),
+                                                      ("wnorm-binary-det", "mlp-20-16-10-4", 0)])
+    def test_init_projects_each_layer_once(self, model, preset, convs, monkeypatch):
+        calls = Counter()
+        self.count_im2col(monkeypatch, calls)
+        net = build_small_net(model, preset, seed=1)
+        units = [layer for layer in net.layers if hasattr(layer, "_rows")]
+        for layer in units:
+            def counted(z, _fn=layer._rows, _name=layer.name):
+                calls[_name] += 1
+                return _fn(z)
+            layer._rows = counted
+        batch = np.random.default_rng(55).choice([-1.0, 1.0], size=(4,) + net.input_shape)
+        data_dependent_init(net, batch, RngStream(1).child(NS_INIT, 101))
+        assert calls == Counter({"im2col": convs, **{layer.name: 1 for layer in units}})
+        assert len(units) == (4 if convs else 3)
 
     def test_cnn_mc_eval_calls_each_patch_point(self, monkeypatch):
         calls = Counter()
