@@ -38,6 +38,14 @@ its s and norms there; the forward takes s over.
 
 A product whose rows no backward reads goes through `_UnitRows._times_w`,
 which a convolution forms one batch chunk of patches at a time.
+
+A shared-dict forward may take a tuple of per-pass streams, one per Monte
+Carlo pass of a group (`Network.passes`). z and the output then carry a
+leading pass axis, z's of size one (the same input for every pass) or one
+per pass. Each pass draws its own slab from its own stream's generator
+(`_per_pass`), so each pass keeps the bits and draws it has alone: dense
+products stay stacked per-pass matmuls, and convs fold the pass axis into
+the batch.
 """
 
 from __future__ import annotations
@@ -117,7 +125,21 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-def _concrete_relax(x: np.ndarray, stream: RngStream):
+def _per_pass(stream, draw, like):
+    """draw(stream, like); for a tuple of per-pass streams, where like has a
+    leading pass axis of one or one per pass, each pass's draw(stream, slab of
+    like), stacked on that axis: each pass draws from its own generator."""
+    if not isinstance(stream, tuple):
+        return draw(stream, like)
+    slabs = [draw(s, like[i % len(like)]) for i, s in enumerate(stream)]
+    return slabs[0][None] if len(slabs) == 1 else np.stack(slabs)   # one pass: no copy
+
+
+def _uniform(stream, like):
+    return stream.generator().random(like.shape)
+
+
+def _concrete_relax(x: np.ndarray, stream):
     """Binary-concrete relaxation of a unit with erf argument x, lambda = 1.
 
     X = sigmoid(L + logit(P)) with L = logit(U), U ~ Uniform(0,1), and
@@ -125,8 +147,7 @@ def _concrete_relax(x: np.ndarray, stream: RngStream):
     r = X(1-X)/(P(1-P)) so that d out/dx = erf_slope(x) * r).
     """
     p = erf_probability(x)
-    u = stream.generator().random(x.shape)
-    gumbel_diff = _logit(u)
+    gumbel_diff = _logit(_per_pass(stream, _uniform, x))
     relaxed = expit(gumbel_diff + _logit(p))
     pc = np.clip(p, _PCLAMP, 1.0 - _PCLAMP)
     r = relaxed * (1.0 - relaxed) / (pc * (1.0 - pc))
@@ -302,12 +323,13 @@ class NsmDense(_UnitRows):
         b_raw = _memo(shared, "b_raw", lambda: self.bias * self.model.scale * norms)
         grid = None
         if self.site == "neuron":
-            u, grid = self._times_w(sample_noise(self.model, z.shape, stream) * z)
+            u, grid = self._times_w(_per_pass(
+                stream, lambda s, zs: sample_noise(self.model, zs.shape, s) * zs, z))
             u += a_s
             u += b_raw
-        elif self.site == "synapse":
-            u = a_s + b_raw
-            u += synapse_noise_sum(w, z, self.model, stream)
+        elif self.site == "synapse":   # (a s + b_raw) + sum, added in either order
+            u = _per_pass(stream, lambda s, zs: synapse_noise_sum(w, zs, self.model, s), z)
+            u += a_s + b_raw
         else:
             raise ConfigError(f"unknown noise site {self.site!r}")
         return self._to_output(sign_activation(u, out=u), grid)
@@ -380,7 +402,7 @@ def _stnn(u, mode, stream):
     if mode == MODE_MEAN:
         out = 2.0 * p - 1.0
     else:
-        out = np.where(stream.generator().random(u.shape) < p, 1.0, -1.0)
+        out = np.where(_per_pass(stream, _uniform, u) < p, 1.0, -1.0)
     return out, 2.0 * p * (1.0 - p)
 
 
@@ -389,7 +411,8 @@ def _straight_through_sign(u, mode, stream):
 
 
 def _noisy_rectifier(u, mode, stream):
-    act = u if mode == MODE_MEAN else u + stream.generator().standard_normal(u.shape)
+    act = u if mode == MODE_MEAN else \
+        u + _per_pass(stream, lambda s, us: s.generator().standard_normal(us.shape), u)
     return np.maximum(act, 0.0), (act > 0.0).astype(np.float64)
 
 
@@ -534,22 +557,24 @@ class _ConvMaps:
         return im2col(z, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
 
     def _grid(self, z):
-        return _conv_grid(z.shape, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
+        return _conv_grid(z.shape[-4:], self.w.shape[2], self.w.shape[3], self.stride, self.pad)
 
     def _times_w(self, z):
         # patches of one batch chunk at a time, within _CHUNK_BYTES unless the
-        # chunk is one example. A stacked matmul multiplies each example's
-        # patches on its own, so every entry has the unchunked product's bits.
+        # chunk is one example; a leading pass axis is folded into the batch.
+        # A stacked matmul multiplies each example's patches on its own, so
+        # every entry has the unchunked product's bits.
         w, grid = self._matrix(), self._grid(z)
+        lead, z = z.shape[:-3], z.reshape((-1,) + z.shape[-3:])
         positions = grid[0] * grid[1]
         out = np.empty((z.shape[0], positions, w.shape[0]))
         step = _chunk_rows(positions * w.shape[1])
         for lo in range(0, z.shape[0], step):
             np.matmul(self._rows(z[lo:lo + step])[0], w.T, out=out[lo:lo + step])
-        return out, grid
+        return out.reshape(lead + out.shape[1:]), grid
 
     def _to_output(self, flat, grid):
-        return flat.reshape(flat.shape[0], grid[0], grid[1], -1).transpose(0, 3, 1, 2)
+        return np.moveaxis(flat.reshape(flat.shape[:-2] + grid + (-1,)), -1, -3)
 
     def _from_output(self, upstream):
         b, k = upstream.shape[:2]
@@ -623,8 +648,8 @@ class MaxPool2(_Plumbing):
 
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        h2, w2 = z.shape[2] - z.shape[2] % 2, z.shape[3] - z.shape[3] % 2
-        c00, c01, c10, c11 = (z[:, :, i:h2:2, j:w2:2] for i, j in self._CORNERS)
+        h2, w2 = z.shape[-2] - z.shape[-2] % 2, z.shape[-1] - z.shape[-1] % 2
+        c00, c01, c10, c11 = (z[..., i:h2:2, j:w2:2] for i, j in self._CORNERS)
         out = np.maximum(np.maximum(c00, c01), np.maximum(c10, c11))
         if shared is not None:
             return out, None
@@ -650,7 +675,7 @@ class MaxPool2(_Plumbing):
 class Flatten(_Plumbing):
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        return z.reshape(z.shape[0], -1), {"in_shape": z.shape} if shared is None else None
+        return z.reshape(z.shape[:-3] + (-1,)), {"in_shape": z.shape} if shared is None else None
 
     def _input_grad(self, cache, upstream):
         return upstream.reshape(cache["in_shape"])
@@ -659,7 +684,7 @@ class Flatten(_Plumbing):
 class GlobalAvgPool(_Plumbing):
     def forward(self, z, mode, stream=None, shared=None):
         z = np.asarray(z, dtype=np.float64)
-        return z.mean(axis=(2, 3)), {"in_shape": z.shape} if shared is None else None
+        return z.mean(axis=(-2, -1)), {"in_shape": z.shape} if shared is None else None
 
     def _input_grad(self, cache, upstream):
         b, c, h, w = cache["in_shape"]

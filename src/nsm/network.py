@@ -12,10 +12,12 @@ layer draws noise.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .errors import NanGradientError, ShapeError
-from .layers import MODE_MEAN, MODE_SAMPLE
+from .layers import MODE_MEAN, MODE_SAMPLE, _chunk_rows
 from .rng import RngStream
 
 
@@ -73,23 +75,39 @@ class Network:
 
     def passes(self, z, mode: str, streams, shared=None):
         """forward's logits over z for each stream in turn, keeping no caches.
-        Each layer keeps what no pass changes in a dict they share (`layers`);
-        a stack that draws no noise in this mode runs once, for every stream.
-        shared, one dict per layer, may carry the weights' memos over from a
+
+        The passes run in groups, each one forward over a leading pass axis,
+        with the group's per-pass streams as a tuple (see `layers`); every
+        pass keeps the bits and draws of its own forward. The first group is
+        pass 0 alone, which records each layer's output size per example in
+        its dict as "width"; after that a group holds as many passes as keep
+        every stacked layer output within layers._CHUNK_BYTES, or one. Each
+        layer keeps what no pass changes in a dict they share; a stack that
+        draws no noise in this mode runs once, for every stream. shared, one
+        dict per layer, may carry the weights' memos and widths over from a
         call on other inputs with the same weights."""
-        z = self._prep(z)
+        z = self._prep(z)[None]
         if shared is None:
             shared = [{} for _ in self.layers]
         shared[0]["z"] = z
         shared[0].pop("product", None)
         noisy = any(layer.draws_noise(mode) for layer in self.layers)
-        out = None
-        for stream in streams:
+        streams, out = iter(streams), None
+        while group := tuple(islice(streams, self._group_size(z.shape[1], shared))):
             if noisy or out is None:
                 out = z
                 for idx, layer in enumerate(self.layers):
-                    out = layer.forward(out, mode, stream and stream.child(idx), shared[idx])[0]
-            yield out
+                    out = layer.forward(out, mode, tuple(s and s.child(idx) for s in group),
+                                        shared[idx])[0]
+                    shared[idx].setdefault("width", out[0].size // z.shape[1])
+            for i in range(len(group)):
+                yield out[i % len(out)]   # out has one slab when no layer drew noise
+
+    @staticmethod
+    def _group_size(batch: int, shared) -> int:
+        """Passes per group: 1 until every layer's width is known."""
+        widths = [kept.get("width") for kept in shared]
+        return 1 if None in widths else _chunk_rows(batch * max(widths))
 
     def backward(self, caches, dlogits):
         """Chain the layer backwards; returns {layer.param: grad} flat dict.

@@ -209,9 +209,10 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     Each of the mc_samples passes runs the stochastic forward on the whole
     set; the per-class probabilities are summed across passes and the
     argmax is compared to the labels. Network.passes does the work the
-    passes over a batch share once, and a model that draws no noise (a
-    deterministic one) runs one pass per batch, summed mc_samples times.
-    What depends on the weights alone is made once for all batches.
+    passes over a batch share once and runs a group of passes as one
+    forward; a model that draws no noise (a deterministic one) runs one pass
+    per batch, summed mc_samples times. What depends on the weights alone,
+    and the group size, is worked out once for all batches.
     """
     n = inputs.shape[0]
     wrong = 0

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import binom
 
 from nsm import layers
 from nsm.autodiff import fd_against, reparam_grads
@@ -62,6 +63,38 @@ class TestNsmDenseForward:
         p_hat = (out > 0).mean(axis=0)
         p, _ = layer.forward(z_row[None, :], MODE_MEAN, None)
         np.testing.assert_allclose(p_hat, (p[0] + 1) / 2, atol=5e-3)
+
+    @pytest.mark.parametrize("site", ["neuron", "synapse"])
+    @pytest.mark.parametrize("p", [0.5, 0.25, 0.3])
+    @pytest.mark.parametrize("fan_in", [5, 9, 16])
+    def test_firing_law_over_every_mask(self, fan_in, p, site):
+        """At a small fan-in the exact P(+1) sums the law of all 2^n Bernoulli
+        masks, with no central limit in it. The sampled counts must lie in the
+        binomial 1 - 1e-9 interval of that P. The closed form must lie within
+        the Berry-Esseen bound for non-identical summands, 0.56 sum(rho) /
+        sigma^3 (Shevtsova 2010), of the exact P. That bound exceeds the true
+        gap by far at these fan-ins, so it catches a wrong firing law, not the
+        central limit's own error."""
+        rng = np.random.default_rng([fan_in, int(100 * p)])
+        units, draws = 3, 20000
+        w, z = rng.normal(size=(units, fan_in)), rng.choice([-1.0, 1.0], size=fan_in)
+        signs = rng.choice([-1.0, 1.0], size=(2, units))
+        layer = NsmDense("d", w, NoiseModel.bernoulli(p), a=signs[0] * rng.uniform(0.1, 0.4, units),
+                         bias=signs[1] * rng.uniform(0.05, 0.3, units), site=site)
+        masks = (np.arange(2 ** fan_in)[:, None] >> np.arange(fan_in)) & 1
+        law = np.prod(np.where(masks == 1, p, 1.0 - p), axis=1)
+        b_raw = layer.bias * layer.model.scale * np.linalg.norm(w, axis=1)
+        u = (masks * z) @ w.T + layer.a * (w @ z) + b_raw          # (2^n, units)
+        exact = np.minimum(law @ (u >= 0.0), 1.0)   # sign(0) is +1; the sum may round above 1
+        out, _ = layer.forward(np.tile(z, (draws, 1)), MODE_SAMPLE, RngStream(9).child(NS_NOISE))
+        lo, hi = binom.interval(1.0 - 1e-9, draws, exact)
+        fired = np.sum(out > 0, axis=0)
+        assert np.all((lo <= fired) & (fired <= hi))
+        closed = (layer.forward(z[None, :], MODE_MEAN, None)[0][0] + 1.0) / 2.0
+        wz = np.abs(w * z)
+        rho = np.sum(wz ** 3, axis=1) * p * (1 - p) * (p * p + (1 - p) ** 2)
+        sigma = np.sqrt(p * (1 - p) * np.sum(wz ** 2, axis=1))
+        assert np.all(np.abs(exact - closed) <= 0.56 * rho / sigma ** 3)
 
     def test_same_stream_same_sample(self):
         layer = mk_dense(seed=6)

@@ -427,7 +427,8 @@ class TestSharedPasses:
         x = np.random.default_rng(26).choice([-1.0, 1.0], size=(5, 1, 28, 28))
         self.assert_matches_forward(net, x, mode, mc, monkeypatch, batch_size=3)
 
-    # a stack that draws no noise in the mode runs once per batch, whatever mc
+    # a stack that draws no noise in the mode runs once per batch, whatever mc;
+    # a noisy one once per group of passes
     @pytest.mark.parametrize("model, mode, noisy", [
         ("nsm", MODE_SAMPLE, True), ("nsm", MODE_CONCRETE, True), ("nsm", MODE_MEAN, False),
         ("binconcrete", MODE_SAMPLE, True), ("binconcrete", MODE_CONCRETE, True),
@@ -448,7 +449,12 @@ class TestSharedPasses:
         self.assert_matches_forward(net, x, mode, mc, monkeypatch)
         calls.clear()
         evaluate_mc(net, x, np.zeros(23, dtype=np.int64), mc, RngStream(30), 10, mode)
-        assert calls == {layer.name: batches * (mc if noisy else 1) for layer in net.layers}
+        # pass 0 of the first batch runs alone and sizes the groups; the
+        # widest output is dense0's 16 per example, so a group of 10 examples
+        # holds every remaining pass of its batch
+        assert layers._chunk_rows(10 * 16) >= mc
+        groups = batches + 1 if noisy else batches
+        assert calls == {layer.name: groups for layer in net.layers}
         assert any(layer.draws_noise(mode) for layer in net.layers) == noisy
 
     @pytest.mark.parametrize("model, preset, site", [("nsm", "cnn-mnist", "neuron"),
@@ -474,7 +480,8 @@ class TestSharedPasses:
             assert set(kept) == (want if isinstance(layer, (NsmDense, NormalizedHead))
                                  else set())
 
-    # layer 0's w z + b is formed once per batch; a deeper layer's input changes per pass
+    # layer 0's w z + b is formed once per batch; a deeper layer's input changes
+    # per pass, so it forms its product once per group of passes
     @pytest.mark.parametrize("model", ["stnn", "noisy-rectifier"])
     def test_baselines_share_the_first_product(self, model):
         net = build_small_net(model, "mlp-20-16-10-4", seed=31)
@@ -487,7 +494,10 @@ class TestSharedPasses:
             layer._rows = counted
         mc, batches = 4, 3
         evaluate_mc(net, x, np.zeros(23, dtype=np.int64), mc, RngStream(31), 10)
-        assert calls == {layer.name: batches * (1 if idx == 0 else mc)
+        # groups as in test_layer_forwards_per_batch: pass 0 alone, then one per batch
+        assert layers._chunk_rows(10 * 16) >= mc
+        groups = batches + 1
+        assert calls == {layer.name: batches if idx == 0 else groups
                          for idx, layer in enumerate(net.layers)}
 
     # the row norms (and raw bias) depend on the weights alone: made once for
@@ -619,8 +629,15 @@ class TestTracedCallSites:
         rng = np.random.default_rng(54)
         evaluate_mc(net, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
                     rng.integers(0, 10, size=4), 3, RngStream(1).child(NS_EVAL), batch_size=4)
-        # conv0's patches of z once per batch; conv1's every pass; noisy patches every pass
-        assert calls == {"im2col": 1 + 3 * 3, **{layer.name: 3 for layer in net.layers}}
+        # pass 0 alone, then passes 1 and 2 as one group: conv0's output of
+        # 32 x 24 x 24 per example lets 3 passes of 4 examples share a group
+        assert layers._chunk_rows(4 * 32 * 24 * 24) == 3
+        # conv0's patches of z once per batch, its noisy patches once per
+        # group; conv1's product and noisy patches once per group, in chunks
+        # of 5 examples: one chunk for pass 0, two for the group's 8 examples
+        assert layers._chunk_rows(8 * 8 * 32 * 25) == 5
+        assert calls == {"im2col": 1 + 2 + 2 * (1 + 2),
+                         **{layer.name: 2 for layer in net.layers}}
 
     def test_cnn_mc_eval_peaks_below_forward(self):
         net = build_small_net("nsm", "cnn-mnist", seed=21)
