@@ -111,7 +111,7 @@ def check_orthogonality(seed: int = 11, trials: int = 20,
         _, grads, _ = net.loss_and_grads(x, y, MODE_SAMPLE,
                                          RngStream(seed).child(500 + trial))
         for layer in net.layers:
-            if "beta" not in layer.params():
+            if layer.scale_name is None:
                 continue
             w = layer.params()["w"].reshape(layer.params()["w"].shape[0], -1)
             dw = grads[f"{layer.name}.w"].reshape(w.shape)

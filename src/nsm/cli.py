@@ -182,9 +182,8 @@ def _apply_scale(net: Network, alpha: float, model: str):
     if model not in NSM_FAMILY:
         raise ConfigError("--scale applies to the weight-normalized family only")
     for layer in net.layers:
-        params = layer.params()
-        if "beta" in params or "g" in params:
-            params["w"][...] *= alpha
+        if layer.scale_name:
+            layer.w[...] *= alpha
 
 
 def cmd_eval(args) -> int:

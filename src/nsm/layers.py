@@ -1,29 +1,30 @@
 """Layer classes: stochastic binary layers, heads, pooling, and baselines.
 
-Parameterization of a stochastic binary layer: the trainable arrays are
-(w, beta, bias) where bias is the *normalized* offset b_norm in
+Every weight layer (_UnitRows) is an affine map x of its input's rows, then
+an activation. A layer with a scale parameter, named by scale_name ("beta"
+or "g"), is weight-normalized: x = scale t + bias with t = (w . z)/||w||.
+Any other forms x = w . z + bias. One forward forms x and calls the class's
+_activate(x, mode, stream) -> (out, slope); one backward multiplies the
+upstream gradient by the slope, then takes the plain gradients or the
+orthogonal ones of `_normalized_backward` (the rule in `autodiff`), with the
+effective weight v = (scale/||w||) w for the input gradient. NsmDense's mean
+activation is the firing law P(+1) = 1/2 (1 + erf(x)), NormalizedHead's the
+identity, BaselineDense's a table's entry per estimator kind. NsmConv and
+SigmoidDetConv are the same layers over im2col patches, whose input gradient
+goes through col2im in (kh, kw, C) order.
 
-    P(+1) = 1/2 (1 + erf(beta t + b_norm)),   t = (w . z) / ||w||.
-
-The noise offset a and the raw bias of the sampled path are derived on the
-fly from the live arrays (a = beta sqrt(2 Var xi) - E[xi],
-b_raw = b_norm sqrt(2 Var xi) ||w||), so scaling a weight row leaves the
-layer's distribution over outputs exactly unchanged and the gradient rule in
-`autodiff` is the exact derivative of the mean path.
-
-NsmDense, NsmConv (an NsmDense over im2col patches), NormalizedHead and the
-wnorm-binary-det baseline share one core: `_project` computes t and
-`_normalized_backward` gives the orthogonal gradients of x = scale t + bias
-and the effective weight v = (scale/||w||) w, from which each layer makes
-its own input gradient (a conv's through col2im, in (kh, kw, C) order).
-BaselineDense runs every comparison estimator and the plain readout from one
-table of activations; SigmoidDetConv is a BaselineDense over im2col patches.
+NsmDense's sampled forward is its own: sign(u), u = noisy product + a s +
+b_raw. The noise offset a = beta sqrt(2 Var xi) - E[xi] and the raw bias
+b_raw = bias sqrt(2 Var xi) ||w|| are derived from the live arrays, so
+scaling a weight row leaves the layer's distribution over outputs unchanged
+and the backward of the mean path is its exact derivative.
 
 Every layer exposes:
     forward(z, mode, stream, shared=None) -> (out, cache)   mode: sample, mean, concrete
     backward(cache, upstream, input_grad=True) -> (param grad dict, d_input)
     params() -> dict of live (in-place mutable) arrays
     draws_noise(mode) -> whether forward in that mode draws from its stream
+    scale_name -> the name of the parameter that scales t, or None
 backward skips the input gradient and returns None for it when input_grad
 is False, as the network does for its first layer.
 
@@ -54,7 +55,7 @@ import numpy as np
 from scipy.special import expit  # numerically stable sigmoid
 
 from . import autodiff
-from .core import erf_probability, erf_slope, sign_activation
+from .core import SITE_NEURON, SITE_SYNAPSE, erf_probability, erf_slope, sign_activation
 from .errors import ConfigError, DegenerateNoiseError, NormalizationError, ShapeError
 from .noise import NoiseModel, a_from_beta, beta_from_noise, sample_noise
 from .rng import RngStream
@@ -79,13 +80,6 @@ def _per_unit(value, out: int, fill: float = 0.0) -> np.ndarray:
     return np.array(np.broadcast_to(np.asarray(value, dtype=np.float64), (out,)))
 
 
-def _project(w: np.ndarray, rows: np.ndarray):
-    """(s, t, norms) with s = rows @ w.T and t = s / ||w_k||; rows (..., D), w (K, D)."""
-    norms = _row_norms(w)
-    s = rows @ w.T
-    return s, s / norms, norms
-
-
 def _memo(shared: dict, key: str, make):
     """shared[key], made by make() the first time it is asked for."""
     if key not in shared:
@@ -99,7 +93,7 @@ def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _normalized_backward(w, scale, norms, rows, t, s, input_grad):
-    """(dw, d_scale, d_bias, v) through x = scale t + bias, t from _project.
+    """(dw, d_scale, v) through x = scale t + bias, t = (rows @ w.T) / ||w_k||.
 
     s is dL/dx, shaped like t. Parameter gradients sum over all leading axes;
     dw is orthogonal to w row by row (the rule in autodiff.reparam_grads).
@@ -107,11 +101,9 @@ def _normalized_backward(w, scale, norms, rows, t, s, input_grad):
     unless input_grad.
     """
     k = w.shape[0]
-    flat = s.reshape(-1, k)
-    d_scale = np.einsum("nk,nk->k", flat, t.reshape(-1, k))   # no (N, K) product temporary
-    d_bias = np.sum(flat, axis=0)
+    d_scale = np.einsum("nk,nk->k", s.reshape(-1, k), t.reshape(-1, k))   # no (N, K) temporary
     dw = autodiff.reparam_grads(w, norms, scale, _kernel_grad(s, rows), d_scale)
-    return dw, d_scale, d_bias, (scale / norms)[:, None] * w if input_grad else None
+    return dw, d_scale, (scale / norms)[:, None] * w if input_grad else None
 
 
 def glorot(shape, fan_in, fan_out, stream: RngStream) -> np.ndarray:
@@ -188,10 +180,14 @@ def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
 
 
 class _UnitRows:
-    """A layer whose units each project the rows of its input. The hooks are
-    the dense case; _ConvMaps overrides them for convolutions."""
+    """A layer whose units each project the rows of its input: an affine map
+    x, then an activation. x = scale t + bias for a layer whose scale
+    parameter is named by scale_name, else x = rows @ w.T + bias. The row
+    hooks are the dense case; _ConvMaps overrides them for convolutions."""
 
     _WEIGHT_NDIM, _WEIGHT_LAYOUT = 2, "dense weights must be (out, in)"
+    scale_name = None
+    bias_trainable = True
 
     def __init__(self, name: str, w: np.ndarray):
         self.name = name
@@ -245,13 +241,84 @@ class _UnitRows:
                 shared["product"] = s
         return s
 
-    def _shared_t(self, z, shared):
-        """t = s / norms of z by _product, for a forward that keeps no cache."""
-        norms = _memo(shared, "norms", lambda: _row_norms(self._matrix()))
-        return self._product(z, shared, np.divide, norms)
+    def params(self):
+        p = {"w": self.w}
+        if self.scale_name:
+            p[self.scale_name] = getattr(self, self.scale_name)
+        if self.bias_trainable:
+            p["bias"] = self.bias
+        return p
 
     def draws_noise(self, mode: str) -> bool:
         return False
+
+    def _scaled(self, t):
+        """x = scale t + bias."""
+        x = t * getattr(self, self.scale_name)
+        x += self.bias
+        return x
+
+    def _affine(self, z):
+        """(s, cache) of a caching forward: s = rows @ w.T, and cache holds x
+        and what backward reads."""
+        rows, grid = self._rows(z)
+        cache = {"rows": rows, "in_shape": z.shape, "grid": grid, "slope": None}
+        s = rows @ self._matrix().T
+        if self.scale_name is None:
+            x = s + self.bias
+        else:
+            cache["norms"] = _row_norms(self._matrix())
+            cache["t"] = s / cache["norms"]
+            x = self._scaled(cache["t"])
+        cache["x"] = cache["stat"] = x
+        return s, cache
+
+    def _shared_affine(self, z, shared):
+        """x of z for a forward that keeps no cache, its product by _product."""
+        if self.scale_name is None:
+            return self._product(z, shared, np.add, self.bias)
+        norms = _memo(shared, "norms", lambda: _row_norms(self._matrix()))
+        return self._scaled(self._product(z, shared, np.divide, norms))
+
+    @staticmethod
+    def _activate(x, mode, stream):
+        """(out, the slope d out/dx that backward reads, or None): the identity."""
+        return x, None
+
+    def _remade_slope(self, x):
+        """A factor of d out/dx that backward makes again from x rather than
+        keep, or None."""
+        return None
+
+    def forward(self, z, mode: str, stream: RngStream | None = None, shared: dict | None = None):
+        z = np.asarray(z, dtype=np.float64)
+        if shared is not None:
+            out = self._activate(self._shared_affine(z, shared), mode, stream)[0]
+            return self._to_output(out, self._grid(z)), None
+        cache = self._affine(z)[1]
+        out, cache["slope"] = self._activate(cache["x"], mode, stream)
+        return self._to_output(out, cache["grid"]), cache
+
+    def backward(self, cache, upstream, input_grad=True):
+        s = self._from_output(np.asarray(upstream, dtype=np.float64))
+        if cache["slope"] is not None:
+            s = s * cache["slope"]
+        remade = self._remade_slope(cache["x"])
+        if remade is not None:
+            remade *= s
+            s = remade
+        w, rows = self._matrix(), cache["rows"]
+        if self.scale_name is None:   # v: the weight the rows meet
+            grads, v = {"w": _kernel_grad(s, rows)}, w
+        else:
+            dw, d_scale, v = _normalized_backward(
+                w, getattr(self, self.scale_name), cache["norms"], rows, cache["t"], s,
+                input_grad)
+            grads = {"w": dw, self.scale_name: d_scale}
+        grads["w"] = grads["w"].reshape(self.w.shape)
+        if self.bias_trainable:
+            grads["bias"] = np.sum(s.reshape(-1, s.shape[-1]), axis=0)
+        return grads, self._input_grad(s, v, cache) if input_grad else None
 
 
 class NsmDense(_UnitRows):
@@ -262,10 +329,14 @@ class NsmDense(_UnitRows):
     deterministic baseline).
     """
 
+    scale_name = "beta"
+
     def __init__(self, name: str, w: np.ndarray, model: NoiseModel,
-                 beta=None, a=None, bias=None, site: str = "neuron",
+                 beta=None, a=None, bias=None, site: str = SITE_NEURON,
                  deterministic: bool = False):
         super().__init__(name, w)
+        if site not in (SITE_NEURON, SITE_SYNAPSE):
+            raise ConfigError(f"unknown noise site {site!r}")
         self.model = model
         model.scale  # force DegenerateNoiseError now rather than mid-training
         out = self.w.shape[0]
@@ -283,36 +354,29 @@ class NsmDense(_UnitRows):
         """Noise offset of the sampled path, derived from live beta."""
         return a_from_beta(self.model, self.beta)
 
-    def params(self):
-        return {"w": self.w, "beta": self.beta, "bias": self.bias}
-
     def draws_noise(self, mode):
         return mode == MODE_CONCRETE or (mode == MODE_SAMPLE and not self.deterministic)
 
-    def forward(self, z, mode: str, stream: RngStream | None, shared: dict | None = None):
+    def forward(self, z, mode: str, stream: RngStream | None = None, shared: dict | None = None):
+        if mode != MODE_SAMPLE or self.deterministic:
+            return super().forward(z, mode, stream, shared)
         z = np.asarray(z, dtype=np.float64)
-        if mode == MODE_SAMPLE and not self.deterministic and shared is not None:
+        if shared is not None:
             return self._sample(z, shared, stream), None
-        if shared is None:
-            rows, grid = self._rows(z)
-            s, t, norms = _project(self._matrix(), rows)
-        else:   # no backward: t from the caller's s or from rows that die at once
-            rows, grid, norms = None, self._grid(z), None
-            t = self._shared_t(z, shared)
-        x = t * self.beta
-        x += self.bias
-        cache = {"rows": rows, "in_shape": z.shape, "grid": grid,
-                 "x": x, "t": t, "norms": norms, "stat": x}
-        if mode == MODE_MEAN or (self.deterministic and mode != MODE_CONCRETE):
-            out = sign_activation(x) if self.deterministic and mode != MODE_MEAN \
-                else 2.0 * erf_probability(x) - 1.0
-        elif mode == MODE_SAMPLE:   # the caching forward: shared is None
-            return self._sample(z, {"s": s, "norms": norms}, stream), cache
-        elif mode == MODE_CONCRETE:
-            out, cache["relax"] = _concrete_relax(x, stream)
-        else:
-            raise ConfigError(f"unknown forward mode {mode!r}")
-        return self._to_output(out, grid), cache if shared is None else None
+        s, cache = self._affine(z)
+        return self._sample(z, {"s": s, "norms": cache["norms"]}, stream), cache
+
+    def _activate(self, x, mode, stream):
+        if mode == MODE_MEAN:
+            return 2.0 * erf_probability(x) - 1.0, None
+        if mode == MODE_CONCRETE:
+            return _concrete_relax(x, stream)
+        if mode == MODE_SAMPLE:   # only a deterministic layer's sampled forward comes here
+            return sign_activation(x), None
+        raise ConfigError(f"unknown forward mode {mode!r}")
+
+    def _remade_slope(self, x):
+        return erf_slope(x)
 
     def _sample(self, z, shared, stream):
         """sign(u), u = noisy product + a s + b_raw: every sampled forward's
@@ -322,28 +386,15 @@ class NsmDense(_UnitRows):
         a_s = self._product(z, shared, np.multiply, self.a)
         b_raw = _memo(shared, "b_raw", lambda: self.bias * self.model.scale * norms)
         grid = None
-        if self.site == "neuron":
+        if self.site == SITE_NEURON:
             u, grid = self._times_w(_per_pass(
                 stream, lambda s, zs: sample_noise(self.model, zs.shape, s) * zs, z))
             u += a_s
             u += b_raw
-        elif self.site == "synapse":   # (a s + b_raw) + sum, added in either order
+        else:   # synapse: (a s + b_raw) + sum, added in either order
             u = _per_pass(stream, lambda s, zs: synapse_noise_sum(w, zs, self.model, s), z)
             u += a_s + b_raw
-        else:
-            raise ConfigError(f"unknown noise site {self.site!r}")
         return self._to_output(sign_activation(u, out=u), grid)
-
-    def backward(self, cache, upstream, input_grad=True):
-        upstream = self._from_output(np.asarray(upstream, dtype=np.float64))
-        if "relax" in cache:
-            upstream = upstream * cache["relax"]
-        s = erf_slope(cache["x"])
-        s *= upstream
-        dw, d_beta, d_bias, v = _normalized_backward(
-            self._matrix(), self.beta, cache["norms"], cache["rows"], cache["t"], s, input_grad)
-        return ({"w": dw.reshape(self.w.shape), "beta": d_beta, "bias": d_bias},
-                self._input_grad(s, v, cache) if input_grad else None)
 
 
 class NormalizedHead(_UnitRows):
@@ -353,6 +404,8 @@ class NormalizedHead(_UnitRows):
     with the same orthogonal rule as the stochastic layers (slope 1).
     """
 
+    scale_name = "beta"
+
     def __init__(self, name: str, w: np.ndarray, beta=None, bias=None,
                  bias_trainable: bool = True):
         super().__init__(name, w)
@@ -360,28 +413,6 @@ class NormalizedHead(_UnitRows):
         self.beta = _per_unit(beta, out, fill=1.0)
         self.bias = _per_unit(bias, out)
         self.bias_trainable = bias_trainable
-
-    def params(self):
-        p = {"w": self.w, "beta": self.beta}
-        if self.bias_trainable:
-            p["bias"] = self.bias
-        return p
-
-    def forward(self, z, mode, stream=None, shared=None):
-        z = np.asarray(z, dtype=np.float64)
-        if shared is not None:
-            return self.beta * self._shared_t(z, shared) + self.bias, None
-        _, t, norms = _project(self.w, z)
-        return self.beta * t + self.bias, {"z": z, "t": t, "norms": norms}
-
-    def backward(self, cache, upstream, input_grad=True):
-        s = np.asarray(upstream, dtype=np.float64)
-        dw, d_beta, d_bias, v = _normalized_backward(
-            self.w, self.beta, cache["norms"], cache["z"], cache["t"], s, input_grad)
-        grads = {"w": dw, "beta": d_beta}
-        if self.bias_trainable:
-            grads["bias"] = d_bias
-        return grads, s @ v if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +452,11 @@ def _sigmoid(u, mode, stream):
     return p, p * (1.0 - p)
 
 
-# kind -> activation(u, mode, stream) -> (out, d out/du); None is the identity
+# kind -> activation(u, mode, stream) -> (out, d out/du or None)
 _ACTIVATIONS = {STNN: _stnn, BINARY_DET: _straight_through_sign,
                 WNORM_BINARY_DET: _straight_through_sign,
-                NOISY_RECTIFIER: _noisy_rectifier, SIGMOID_DET: _sigmoid, AFFINE: None}
+                NOISY_RECTIFIER: _noisy_rectifier, SIGMOID_DET: _sigmoid,
+                AFFINE: _UnitRows._activate}
 
 
 class BaselineDense(_UnitRows):
@@ -445,53 +477,15 @@ class BaselineDense(_UnitRows):
         self.kind = kind
         out = self.w.shape[0]
         self.bias = _per_unit(bias, out)
+        self.bias_trainable = kind != STNN
         if kind == WNORM_BINARY_DET:
-            self.g = _per_unit(g, out, fill=1.0)
-
-    def params(self):
-        p = {"w": self.w}
-        if self.kind == WNORM_BINARY_DET:
-            p["g"] = self.g
-        if self.kind != STNN:
-            p["bias"] = self.bias
-        return p
+            self.scale_name, self.g = "g", _per_unit(g, out, fill=1.0)
 
     def draws_noise(self, mode):
         return self.kind in (STNN, NOISY_RECTIFIER) and mode != MODE_MEAN
 
-    def forward(self, z, mode, stream: RngStream | None = None, shared=None):
-        z = np.asarray(z, dtype=np.float64)
-        activation = _ACTIVATIONS[self.kind]
-        if shared is not None:
-            u = self.g * self._shared_t(z, shared) + self.bias if self.kind == WNORM_BINARY_DET \
-                else self._product(z, shared, np.add, self.bias)
-            out = u if activation is None else activation(u, mode, stream)[0]
-            return self._to_output(out, self._grid(z)), None
-        rows, grid = self._rows(z)
-        cache = {"rows": rows, "in_shape": z.shape, "grid": grid}
-        if self.kind == WNORM_BINARY_DET:
-            _, cache["t"], cache["norms"] = _project(self._matrix(), rows)
-            u = self.g * cache["t"] + self.bias
-        else:
-            u = rows @ self._matrix().T + self.bias
-        cache["u"] = cache["stat"] = u
-        out, cache["slope"] = (u, None) if activation is None else activation(u, mode, stream)
-        return self._to_output(out, grid), cache
-
-    def backward(self, cache, upstream, input_grad=True):
-        s = self._from_output(np.asarray(upstream, dtype=np.float64))
-        if cache["slope"] is not None:
-            s = s * cache["slope"]
-        v, rows = self._matrix(), cache["rows"]   # v: the weight the rows meet
-        if self.kind == WNORM_BINARY_DET:
-            dw, d_g, d_bias, v = _normalized_backward(
-                v, self.g, cache["norms"], rows, cache["t"], s, input_grad)
-            grads = {"w": dw, "g": d_g, "bias": d_bias}
-        else:
-            grads = {"w": _kernel_grad(s, rows).reshape(self.w.shape)}
-            if self.kind != STNN:
-                grads["bias"] = np.sum(s.reshape(-1, s.shape[-1]), axis=0)
-        return grads, self._input_grad(s, v, cache) if input_grad else None
+    def _activate(self, x, mode, stream):
+        return _ACTIVATIONS[self.kind](x, mode, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +612,8 @@ class SigmoidDetConv(_ConvMaps, BaselineDense):
 
 class _Plumbing:
     """A layer without parameters: its backward is its input gradient alone."""
+
+    scale_name = None
 
     def __init__(self, name: str):
         self.name = name

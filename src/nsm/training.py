@@ -214,6 +214,8 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     per batch, summed mc_samples times. What depends on the weights alone,
     and the group size, is worked out once for all batches.
     """
+    if mc_samples < 1:
+        raise ConfigError(f"mc_samples must be at least 1, got {mc_samples}")
     n = inputs.shape[0]
     wrong = 0
     shared = [{} for _ in network.layers]
@@ -237,22 +239,21 @@ def data_dependent_init(network: Network, batch, stream: RngStream):
     standardized on this batch), then propagate the batch with a sampled
     forward so deeper layers see the distribution they will train on. That
     forward reuses the projection, which does not depend on beta or bias.
-    A normalized layer is one with a scale parameter: beta for stochastic
-    layers and the head, g for the weight-normalized binary baseline. A
-    convolution's positions count as batch entries.
+    A normalized layer is one whose scale_name names its scale parameter:
+    beta for stochastic layers and the head, g for the weight-normalized
+    binary baseline. A convolution's positions count as batch entries.
     """
     z = network._prep(batch)
     for idx, layer in enumerate(network.layers):
         params = layer.params()
-        scale = params.get("beta", params.get("g"))
         known = {}
-        if scale is not None:
+        if layer.scale_name:
             known["s"], t, known["norms"] = layer.project(z)
             t = t.reshape(-1, t.shape[-1])
             mu, sd = t.mean(axis=0), t.std(axis=0)
             if np.any(sd == 0.0):
                 raise InitError(f"{layer.name}: zero variance on the init batch")
-            scale[...] = 1.0 / sd
+            params[layer.scale_name][...] = 1.0 / sd
             if "bias" in params:
                 params["bias"][...] = -mu / sd
         z, _ = layer.forward(z, MODE_SAMPLE, stream.child(idx), known)

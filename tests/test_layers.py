@@ -110,6 +110,14 @@ class TestNsmDenseForward:
         out, cache = layer.forward(z, MODE_SAMPLE, RngStream(0))
         np.testing.assert_array_equal(out, sign_activation(cache["x"]))
 
+    # rejected when built: mean forwards and a deterministic (binary-erf)
+    # network never reach the sampled path that reads the site
+    def test_unknown_site_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="'synaps'"):
+            mk_dense(site="synaps")
+        with pytest.raises(ConfigError, match="'bogus'"):
+            build_network(parse_preset("mlp-16-8-2"), "binary-erf", site="bogus")
+
     def test_beta_and_a_parameterizations_agree(self):
         rng = np.random.default_rng(10)
         w = rng.normal(size=(3, 6))
@@ -207,7 +215,7 @@ class TestBinaryConcrete:
         relaxed = expit(_logit(u) + _logit(p))
         np.testing.assert_allclose(out, 2 * relaxed - 1, atol=1e-12)
         assert np.all(np.abs(out) < 1.0)
-        np.testing.assert_allclose(cache["relax"],
+        np.testing.assert_allclose(cache["slope"],
                                    relaxed * (1 - relaxed) / (p * (1 - p)),
                                    atol=1e-12)
 
@@ -219,7 +227,7 @@ class TestBinaryConcrete:
         _, cc = layer.forward(z, MODE_CONCRETE, RngStream(5).child(NS_NOISE))
         _, cm = layer.forward(z, MODE_MEAN, None)
         gc, dzc = layer.backward(cc, upstream)
-        gm, dzm = layer.backward(cm, upstream * cc["relax"])
+        gm, dzm = layer.backward(cm, upstream * cc["slope"])
         for k in gm:
             np.testing.assert_allclose(gc[k], gm[k], atol=1e-12)
         np.testing.assert_allclose(dzc, dzm, atol=1e-12)
@@ -536,8 +544,8 @@ def normalized_case(kind, rng):
     if kind == "wnorm-binary-det":
         layer = BaselineDense("b", kind, w, bias=bias, g=scale)
         # straight-through: the backward differentiates g t + b inside |u| <= 1
-        window = np.abs(layer.forward(z, MODE_MEAN, None)[1]["u"]) <= 1.0
-        return layer, z, lambda x: window * layer.forward(x, MODE_MEAN, None)[1]["u"]
+        window = np.abs(layer.forward(z, MODE_MEAN, None)[1]["x"]) <= 1.0
+        return layer, z, lambda x: window * layer.forward(x, MODE_MEAN, None)[1]["x"]
     layer = NsmDense("d", w, model, beta=scale, bias=bias, site=kind.split("-")[1])
     return layer, z, lambda x: layer.forward(x, MODE_MEAN, None)[0]
 
@@ -666,7 +674,7 @@ class TestConvReference:
         out, cache = layer.forward(z, MODE_MEAN)
         upstream = rng.normal(size=out.shape)
         grads, _ = layer.backward(cache, upstream)
-        p = expit(cache["u"])
+        p = expit(cache["x"])
         s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * (p * (1.0 - p))
         dw = np.einsum("bpk,bpd->kd", s, cache["rows"]).reshape(layer.w.shape)
         assert_close_rel(grads["w"], dw)
@@ -702,7 +710,7 @@ class TestConvInputGradient:
                                    stride=stride, pad=pad)
             _, cache = layer.forward(z, MODE_MEAN)
             _, dz = layer.backward(cache, upstream)
-            p = expit(cache["u"])
+            p = expit(cache["x"])
             s = up * (p * (1.0 - p))
             assert_same_bits(dz, col2im_nchw(s @ wf, z.shape, ksize, ksize, stride, pad, grid))
 

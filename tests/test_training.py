@@ -11,7 +11,7 @@ import pytest
 from nsm import autodiff, layers
 from nsm.checkpoint import load_checkpoint, restore_params, save_checkpoint
 from nsm.data import synthetic_dataset
-from nsm.errors import InitError, NanGradientError, ShapeError
+from nsm.errors import ConfigError, InitError, NanGradientError, ShapeError
 from nsm.layers import MODE_CONCRETE, MODE_MEAN, MODE_SAMPLE, NormalizedHead, NsmDense
 from nsm.network import (Network, check_finite_grads, cross_entropy_loss,
                          softmax)
@@ -293,6 +293,14 @@ class TestEvaluateMc:
         err = evaluate_mc(net, test_ds.inputs, test_ds.labels, 3,
                           RngStream(17).child(NS_EVAL))
         assert 0.0 <= err <= 1.0
+
+    # with no pass nothing is summed and every example's argmax is class 0
+    @pytest.mark.parametrize("mc", [0, -3])
+    def test_fewer_than_one_pass_rejected(self, blobs, mc):
+        _, test_ds = blobs
+        net = build_small_net(seed=17)
+        with pytest.raises(ConfigError, match="mc_samples"):
+            evaluate_mc(net, test_ds.inputs, test_ds.labels, mc, RngStream(17).child(NS_EVAL))
 
 
 class TestPredict:
