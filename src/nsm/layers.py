@@ -21,6 +21,7 @@ and the backward of the mean path is its exact derivative.
 
 Every layer exposes:
     forward(z, mode, stream, shared=None) -> (out, cache)   mode: sample, mean, concrete
+        (a weight layer raises ConfigError for any other mode)
     backward(cache, upstream, input_grad=True) -> (param grad dict, d_input)
     params() -> dict of live (in-place mutable) arrays
     draws_noise(mode) -> whether forward in that mode draws from its stream
@@ -40,10 +41,17 @@ its s and norms there; the forward takes s over.
 A product whose rows no backward reads goes through `_UnitRows._times_w`,
 which a convolution forms one batch chunk of patches at a time.
 
-A shared-dict forward may take a tuple of per-pass streams, one per Monte
-Carlo pass of a group (`Network.passes`). z and the output then carry a
-leading pass axis, z's of size one (the same input for every pass) or one
-per pass. Each pass draws its own slab from its own stream's generator
+Where a layer takes a stream, it takes an open np.random.Generator as well,
+as sample_noise does: a stream's draws start at its beginning, a generator's
+go on where they stopped. Every draw runs in C order with the batch axis
+first, so a batch drawn in pieces from one generator gets the values of one
+draw of the whole; `Network.passes` runs a conv net's spatial layers over
+sub-chunks of the batch that way.
+
+A shared-dict forward may take a tuple of per-pass streams or generators,
+one per Monte Carlo pass of a group (`Network.passes`). z and the output
+then carry a leading pass axis, z's of size one (the same input for every
+pass) or one per pass. Each pass draws its own slab from its own generator
 (`_per_pass`), so each pass keeps the bits and draws it has alone: dense
 products stay stacked per-pass matmuls, and convs fold the pass axis into
 the batch.
@@ -58,11 +66,12 @@ from . import autodiff
 from .core import SITE_NEURON, SITE_SYNAPSE, erf_probability, erf_slope, sign_activation
 from .errors import ConfigError, DegenerateNoiseError, NormalizationError, ShapeError
 from .noise import NoiseModel, a_from_beta, beta_from_noise, sample_noise
-from .rng import RngStream
+from .rng import RngStream, open_generator
 
 MODE_SAMPLE = "sample"
 MODE_MEAN = "mean"
 MODE_CONCRETE = "concrete"
+FORWARD_MODES = (MODE_SAMPLE, MODE_MEAN, MODE_CONCRETE)
 
 _PCLAMP = 1e-12
 
@@ -118,20 +127,21 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _per_pass(stream, draw, like):
-    """draw(stream, like); for a tuple of per-pass streams, where like has a
-    leading pass axis of one or one per pass, each pass's draw(stream, slab of
-    like), stacked on that axis: each pass draws from its own generator."""
+    """draw(stream, like); for a tuple of per-pass streams or generators,
+    where like has a leading pass axis of one or one per pass, each pass's
+    draw(stream, slab of like), stacked on that axis: each pass draws from its
+    own generator."""
     if not isinstance(stream, tuple):
         return draw(stream, like)
     slabs = [draw(s, like[i % len(like)]) for i, s in enumerate(stream)]
     return slabs[0][None] if len(slabs) == 1 else np.stack(slabs)   # one pass: no copy
 
 
-def _uniform(stream, like):
-    return stream.generator().random(like.shape)
+def _uniform(source, like):
+    return open_generator(source).random(like.shape)
 
 
-def _concrete_relax(x: np.ndarray, stream):
+def _concrete_relax(x: np.ndarray, source):
     """Binary-concrete relaxation of a unit with erf argument x, lambda = 1.
 
     X = sigmoid(L + logit(P)) with L = logit(U), U ~ Uniform(0,1), and
@@ -139,7 +149,7 @@ def _concrete_relax(x: np.ndarray, stream):
     r = X(1-X)/(P(1-P)) so that d out/dx = erf_slope(x) * r).
     """
     p = erf_probability(x)
-    gumbel_diff = _logit(_per_pass(stream, _uniform, x))
+    gumbel_diff = _logit(_per_pass(source, _uniform, x))
     relaxed = expit(gumbel_diff + _logit(p))
     pc = np.clip(p, _PCLAMP, 1.0 - _PCLAMP)
     r = relaxed * (1.0 - relaxed) / (pc * (1.0 - pc))
@@ -158,13 +168,13 @@ def _chunk_rows(values_per_row: int) -> int:
 
 
 def synapse_noise_sum(w: np.ndarray, z: np.ndarray, model: NoiseModel,
-                      stream: RngStream) -> np.ndarray:
+                      source: RngStream | np.random.Generator) -> np.ndarray:
     """sum_j xi_bij w_ij z_bj for z (B, in): the noisy part of a synapse-site u.
 
     One generator feeds every batch chunk in order, so xi holds exactly the
-    values of sample_noise(model, (B,) + w.shape, stream) in one draw.
+    values of sample_noise(model, (B,) + w.shape, source) in one draw.
     """
-    gen = stream.generator()
+    gen = open_generator(source)
     rows = _chunk_rows(w.size)
     total = np.empty((z.shape[0], w.shape[0]))
     for lo in range(0, z.shape[0], rows):
@@ -290,7 +300,9 @@ class _UnitRows:
         keep, or None."""
         return None
 
-    def forward(self, z, mode: str, stream: RngStream | None = None, shared: dict | None = None):
+    def forward(self, z, mode: str, stream=None, shared: dict | None = None):
+        if mode not in FORWARD_MODES:
+            raise ConfigError(f"unknown forward mode {mode!r}")
         z = np.asarray(z, dtype=np.float64)
         if shared is not None:
             out = self._activate(self._shared_affine(z, shared), mode, stream)[0]
@@ -357,7 +369,7 @@ class NsmDense(_UnitRows):
     def draws_noise(self, mode):
         return mode == MODE_CONCRETE or (mode == MODE_SAMPLE and not self.deterministic)
 
-    def forward(self, z, mode: str, stream: RngStream | None = None, shared: dict | None = None):
+    def forward(self, z, mode: str, stream=None, shared: dict | None = None):
         if mode != MODE_SAMPLE or self.deterministic:
             return super().forward(z, mode, stream, shared)
         z = np.asarray(z, dtype=np.float64)
@@ -371,9 +383,7 @@ class NsmDense(_UnitRows):
             return 2.0 * erf_probability(x) - 1.0, None
         if mode == MODE_CONCRETE:
             return _concrete_relax(x, stream)
-        if mode == MODE_SAMPLE:   # only a deterministic layer's sampled forward comes here
-            return sign_activation(x), None
-        raise ConfigError(f"unknown forward mode {mode!r}")
+        return sign_activation(x), None   # sample: only a deterministic layer's comes here
 
     def _remade_slope(self, x):
         return erf_slope(x)
@@ -443,7 +453,7 @@ def _straight_through_sign(u, mode, stream):
 
 def _noisy_rectifier(u, mode, stream):
     act = u if mode == MODE_MEAN else \
-        u + _per_pass(stream, lambda s, us: s.generator().standard_normal(us.shape), u)
+        u + _per_pass(stream, lambda s, us: open_generator(s).standard_normal(us.shape), u)
     return np.maximum(act, 0.0), (act > 0.0).astype(np.float64)
 
 

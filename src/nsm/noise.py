@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNoiseError, NoiseModelError
-from .rng import RngStream
+from .rng import RngStream, open_generator
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -119,7 +119,7 @@ def sample_noise(model: NoiseModel, shape: tuple,
     one draw of the whole. Zero-variance models are fine here (they return
     constants); only the closed-form probability path rejects them.
     """
-    gen = source.generator() if isinstance(source, RngStream) else source
+    gen = open_generator(source)
     if model.kind == GAUSSIAN:
         if model.param == 0.0:
             return np.ones(shape, dtype=np.float64)

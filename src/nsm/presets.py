@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import SITE_NEURON, SITE_SYNAPSE
 from .errors import ConfigError
 from .layers import (AFFINE, BaselineDense, Flatten, GlobalAvgPool,
                      MaxPool2, NormalizedHead, NsmConv, NsmDense,
@@ -84,6 +85,8 @@ def build_network(arch: ArchSpec, model: str = "nsm",
     """
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model!r}")
+    if site not in (SITE_NEURON, SITE_SYNAPSE):
+        raise ConfigError(f"unknown noise site {site!r}")
     if noise is None:
         noise = NoiseModel.bernoulli(0.5)
     nsm_like = model in NSM_FAMILY

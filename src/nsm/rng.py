@@ -49,5 +49,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
 
+def open_generator(source: RngStream | np.random.Generator) -> np.random.Generator:
+    """A fresh generator at the start of stream source, or source itself when
+    it is already an open generator, whose draws go on where they stopped."""
+    return source.generator() if isinstance(source, RngStream) else source
+
+
 def root_stream(seed: int) -> RngStream:
     return RngStream(_as_u64(seed))

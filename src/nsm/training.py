@@ -212,7 +212,12 @@ def evaluate_mc(network: Network, inputs, labels, mc_samples: int,
     passes over a batch share once and runs a group of passes as one
     forward; a model that draws no noise (a deterministic one) runs one pass
     per batch, summed mc_samples times. What depends on the weights alone,
-    and the group size, is worked out once for all batches.
+    and the group and sub-chunk sizes, is worked out once for all batches.
+
+    batch_size fixes the rows each dense product sees, and with it the bits
+    of every pass. A conv net's spatial layers run over byte-bounded
+    sub-chunks of each batch and gather one flat row per example and pass,
+    so memory grows with batch_size only by the flat part's rows.
     """
     if mc_samples < 1:
         raise ConfigError(f"mc_samples must be at least 1, got {mc_samples}")

@@ -20,7 +20,7 @@ from nsm.layers import (AFFINE, BASELINE_KINDS, MODE_CONCRETE, MODE_MEAN, MODE_S
                         _chunk_rows, _logit, col2im, im2col)
 from nsm.network import cross_entropy_dlogits, softmax
 from nsm.noise import NoiseModel, beta_from_noise, sample_noise
-from nsm.presets import build_network, parse_preset
+from nsm.presets import MODEL_KINDS, build_network, parse_preset
 from nsm.rng import NS_NOISE, RngStream
 from tests.conftest import assert_same_bits
 
@@ -117,6 +117,12 @@ class TestNsmDenseForward:
             mk_dense(site="synaps")
         with pytest.raises(ConfigError, match="'bogus'"):
             build_network(parse_preset("mlp-16-8-2"), "binary-erf", site="bogus")
+
+    # a kind outside the NSM family reads no site, but names a bad one all the same
+    @pytest.mark.parametrize("model", MODEL_KINDS)
+    def test_unknown_site_rejected_for_every_model_kind(self, model):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            build_network(parse_preset("mlp-16-8-2"), model, site="bogus")
 
     def test_beta_and_a_parameterizations_agree(self):
         rng = np.random.default_rng(10)
@@ -321,6 +327,22 @@ class TestBaselineDense:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             BaselineDense("x", "tanh-det", np.ones((2, 2)))
+
+    # every weight layer checks the mode, with or without a shared dict;
+    # concrete stays accepted by every kind
+    @pytest.mark.parametrize("kind", BASELINE_KINDS + (AFFINE, "nsm", "binary-erf", "head"))
+    def test_unknown_mode_rejected(self, kind):
+        rng = np.random.default_rng(24)
+        w = rng.normal(size=(3, 5))
+        layer = (NsmDense("d", w, NoiseModel.bernoulli(0.5), deterministic=kind == "binary-erf")
+                 if kind in ("nsm", "binary-erf") else
+                 NormalizedHead("h", w) if kind == "head" else BaselineDense("b", kind, w))
+        z = rng.choice([-1.0, 1.0], size=(4, 5))
+        for shared in (None, {}):
+            with pytest.raises(ConfigError, match="'bogus'"):
+                layer.forward(z, "bogus", RngStream(1), shared)
+            out = layer.forward(z, MODE_CONCRETE, RngStream(1), shared)[0]
+            assert out.shape == (4, 3)
 
 
 class TestHeads:

@@ -637,15 +637,23 @@ class TestTracedCallSites:
         rng = np.random.default_rng(54)
         evaluate_mc(net, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
                     rng.integers(0, 10, size=4), 3, RngStream(1).child(NS_EVAL), batch_size=4)
-        # pass 0 alone, then passes 1 and 2 as one group: conv0's output of
-        # 32 x 24 x 24 per example lets 3 passes of 4 examples share a group
-        assert layers._chunk_rows(4 * 32 * 24 * 24) == 3
-        # conv0's patches of z once per batch, its noisy patches once per
-        # group; conv1's product and noisy patches once per group, in chunks
-        # of 5 examples: one chunk for pass 0, two for the group's 8 examples
+        # pass 0 alone, then passes 1 and 2 as one group: the flat rows of
+        # 64 x 4 x 4 per example let 3 passes of 4 examples share a group
+        assert layers._chunk_rows(4 * 64 * 4 * 4) >= 3
+        # the prefix runs in sub-chunks: pass 0 over 1 example, then 3, while
+        # the widths are learnt; the group over all 4, each pass in turn, as
+        # conv0's output of 32 x 24 x 24 per example allows 14
+        assert layers._chunk_rows(32 * 24 * 24) == 14
+        prefix = net._spatial_end()
+        # conv0's patches of z once per sub-chunk, its noisy patches once per
+        # pass and sub-chunk: 2 + 2 for pass 0, 1 + 2 for the group; conv1's
+        # product and noisy patches once per pass and sub-chunk, each sub-chunk
+        # within one patch chunk of 5 examples: 2 x 2 for pass 0, 2 x 2 more
         assert layers._chunk_rows(8 * 8 * 32 * 25) == 5
-        assert calls == {"im2col": 1 + 2 + 2 * (1 + 2),
-                         **{layer.name: 2 for layer in net.layers}}
+        assert calls == {"im2col": (2 + 2) + (1 + 2) + 2 * 2 + 2 * 2,
+                         **{layer.name: 4 if idx < prefix else 2
+                            for idx, layer in enumerate(net.layers)}}
+        assert prefix == 5
 
     def test_cnn_mc_eval_peaks_below_forward(self):
         net = build_small_net("nsm", "cnn-mnist", seed=21)
