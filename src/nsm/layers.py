@@ -10,8 +10,10 @@ orthogonal ones of `_normalized_backward` (the rule in `autodiff`), with the
 effective weight v = (scale/||w||) w for the input gradient. NsmDense's mean
 activation is the firing law P(+1) = 1/2 (1 + erf(x)), NormalizedHead's the
 identity, BaselineDense's a table's entry per estimator kind. NsmConv and
-SigmoidDetConv are the same layers over im2col patches, whose input gradient
-goes through col2im in (kh, kw, C) order.
+SigmoidDetConv are the same layers over the patches of their input's
+channels-last maps. They form every product, kernel gradient and input
+gradient one group of kernel offsets at a time (`_ConvMaps`), and their
+caches keep the maps, never a patch matrix.
 
 NsmDense's sampled forward is its own: sign(u), u = noisy product + a s +
 b_raw. The noise offset a = beta sqrt(2 Var xi) - E[xi] and the raw bias
@@ -38,8 +40,8 @@ depends on the input, so a caller may keep the dict across inputs by
 replacing "z" and dropping "product". A caller that has projected z may put
 its s and norms there; the forward takes s over.
 
-A product whose rows no backward reads goes through `_UnitRows._times_w`,
-which a convolution forms one batch chunk of patches at a time.
+Every product goes through `_UnitRows._times_w`, which also returns the
+rows the gradients read; a convolution forms it one batch chunk at a time.
 
 Where a layer takes a stream, it takes an open np.random.Generator as well,
 as sample_noise does: a stream's draws start at its beginning, a generator's
@@ -96,22 +98,17 @@ def _memo(shared: dict, key: str, make):
     return shared[key]
 
 
-def _kernel_grad(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum over all leading axes of s (..., K) times rows (..., D), as one GEMM."""
-    return s.reshape(-1, s.shape[-1]).T @ rows.reshape(-1, rows.shape[-1])
-
-
-def _normalized_backward(w, scale, norms, rows, t, s, input_grad):
+def _normalized_backward(w, scale, norms, dv, t, s, input_grad):
     """(dw, d_scale, v) through x = scale t + bias, t = (rows @ w.T) / ||w_k||.
 
-    s is dL/dx, shaped like t. Parameter gradients sum over all leading axes;
-    dw is orthogonal to w row by row (the rule in autodiff.reparam_grads).
-    v = (scale/||w||) w is the effective weight, dL/drows = s @ v, or None
-    unless input_grad.
+    s is dL/dx, shaped like t, and dv = dL/d(rows @ w.T) summed like the
+    parameter gradients over all leading axes; dw is orthogonal to w row by
+    row (the rule in autodiff.reparam_grads). v = (scale/||w||) w is the
+    effective weight, dL/drows = s @ v, or None unless input_grad.
     """
     k = w.shape[0]
     d_scale = np.einsum("nk,nk->k", s.reshape(-1, k), t.reshape(-1, k))   # no (N, K) temporary
-    dw = autodiff.reparam_grads(w, norms, scale, _kernel_grad(s, rows), d_scale)
+    dw = autodiff.reparam_grads(w, norms, scale, dv, d_scale)
     return dw, d_scale, (scale / norms)[:, None] * w if input_grad else None
 
 
@@ -156,9 +153,8 @@ def _concrete_relax(x: np.ndarray, source):
     return 2.0 * relaxed - 1.0, r
 
 
-# Synapse-site noise and conv patches that no backward reads are made in
-# batch chunks of about this many bytes, so memory is bounded by the chunk
-# rather than by the batch.
+# Synapse-site noise and conv patches are made in batch chunks of about this
+# many bytes, so memory is bounded by the chunk rather than by the batch.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -209,18 +205,20 @@ class _UnitRows:
         """Weights as (units, fan-in)."""
         return self.w
 
-    def _rows(self, z):
-        """(vectors each unit projects, output grid): z itself, no grid."""
-        return z, None
-
     def _grid(self, z):
-        """The output grid of input z, as _rows gives it."""
+        """The output grid of input z: none."""
         return None
 
     def _times_w(self, z):
-        """(rows(z) @ w.T, grid) for rows that no backward reads: one GEMM."""
-        rows, grid = self._rows(z)
-        return rows @ self._matrix().T, grid
+        """(rows @ w.T, rows, output grid) of input z, with rows what the
+        kernel and input gradients read: z itself, one GEMM, no grid."""
+        return z @ self._matrix().T, z, None
+
+    def _kernel_grad(self, s, cache):
+        """dL/dw as (units, fan-in) from s = dL/d(rows @ w.T): the sum over
+        all leading axes of s times the cached rows, as one GEMM."""
+        rows = cache["rows"]
+        return s.reshape(-1, s.shape[-1]).T @ rows.reshape(-1, rows.shape[-1])
 
     def _to_output(self, flat, grid):
         return flat
@@ -271,9 +269,8 @@ class _UnitRows:
     def _affine(self, z):
         """(s, cache) of a caching forward: s = rows @ w.T, and cache holds x
         and what backward reads."""
-        rows, grid = self._rows(z)
-        cache = {"rows": rows, "in_shape": z.shape, "grid": grid, "slope": None}
-        s = rows @ self._matrix().T
+        s, rows, grid = self._times_w(z)
+        cache = {"rows": rows, "grid": grid, "slope": None}
         if self.scale_name is None:
             x = s + self.bias
         else:
@@ -319,12 +316,12 @@ class _UnitRows:
         if remade is not None:
             remade *= s
             s = remade
-        w, rows = self._matrix(), cache["rows"]
+        w, dv = self._matrix(), self._kernel_grad(s, cache)
         if self.scale_name is None:   # v: the weight the rows meet
-            grads, v = {"w": _kernel_grad(s, rows)}, w
+            grads, v = {"w": dv}, w
         else:
             dw, d_scale, v = _normalized_backward(
-                w, getattr(self, self.scale_name), cache["norms"], rows, cache["t"], s,
+                w, getattr(self, self.scale_name), cache["norms"], dv, cache["t"], s,
                 input_grad)
             grads = {"w": dw, self.scale_name: d_scale}
         grads["w"] = grads["w"].reshape(self.w.shape)
@@ -397,7 +394,7 @@ class NsmDense(_UnitRows):
         b_raw = _memo(shared, "b_raw", lambda: self.bias * self.model.scale * norms)
         grid = None
         if self.site == SITE_NEURON:
-            u, grid = self._times_w(_per_pass(
+            u, _, grid = self._times_w(_per_pass(
                 stream, lambda s, zs: sample_noise(self.model, zs.shape, s) * zs, z))
             u += a_s
             u += b_raw
@@ -501,81 +498,145 @@ class BaselineDense(_UnitRows):
 # ---------------------------------------------------------------------------
 # convolution and spatial plumbing
 
-def im2col(z: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(B, C, H, W) -> patches (B, P, C*kh*kw) plus the output grid shape.
+# A convolution's products are formed from groups of kernel offsets, each as
+# many as give patches of fewer than this many values per position, and at
+# least one: all k^2 offsets at one input channel, one from 32 channels on,
+# where a group's patches are no larger than the maps. Probed on one BLAS
+# thread at batch 100, one offset at a time formed cnn-mnist conv1's product
+# (32 channels) within a quarter of the time of all 25 at once, and conv0's
+# (one channel) 25 times slower.
+_GROUP_VALUES = 64
 
-    Patch feature order is (channel, kernel row, kernel col), matching a
-    C-order flatten of (K, C, kh, kw) kernels.
+
+def im2col(maps: np.ndarray, kh: int, kw: int, stride: int, lo: int = 0, hi: int | None = None):
+    """Channels-last maps (B, H, W, C) -> the patches (B, oh*ow, g*C) of the
+    kernel offsets lo .. hi - 1 (all kh*kw by default, g of them).
+
+    Offset q is kernel row q // kw, column q % kw; each patch lists its
+    offsets in order, C channels each.
     """
-    oh, ow = _conv_grid(z.shape, kh, kw, stride, pad)
-    if pad:
-        z = np.pad(z, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    b, c = z.shape[:2]
-    win = np.lib.stride_tricks.sliding_window_view(z, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (B, C, oh, ow, kh, kw)
-    patches = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(patches), (oh, ow)
+    hi = kh * kw if hi is None else hi
+    b, h, w, c = maps.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sb, sh, sw, sc = maps.strides
+    win = np.lib.stride_tricks.as_strided(   # (B, oh, ow, kh, kw, C), a read-only view
+        maps, (b, oh, ow, kh, kw, c), (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    kernel_rows = [win[:, :, :, i, max(lo - i * kw, 0):hi - i * kw]
+            for i in range(lo // kw, -(-hi // kw))]
+    return np.concatenate(kernel_rows, axis=3).reshape(b, oh * ow, (hi - lo) * c)
 
 
-def _conv_grid(in_shape, kh: int, kw: int, stride: int, pad: int):
-    """(oh, ow), the output grid of a (B, C, H, W) input's im2col."""
-    if len(in_shape) != 4:
-        raise ShapeError(f"conv input must be (B, C, H, W), got {tuple(in_shape)}")
-    h, w = in_shape[2] + 2 * pad, in_shape[3] + 2 * pad
-    if h < kh or w < kw:
-        raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    return (h - kh) // stride + 1, (w - kw) // stride + 1
-
-
-def col2im(dpatches: np.ndarray, in_shape, kh: int, kw: int, stride: int, pad: int,
-           grid) -> np.ndarray:
-    """Scatter-add patch gradients back onto the image: the adjoint of im2col
-    with each patch's features permuted to (kernel row, kernel col, channel).
-
-    Accumulates channels-last, so each kernel offset adds one (B, oh, ow, C)
-    slice of contiguous channel runs.
+def col2im(dpatches: np.ndarray, dmaps: np.ndarray, kh: int, kw: int, stride: int,
+           lo: int) -> None:
+    """Add the gradients (B, oh*ow, g*C) of the patches of kernel offsets
+    lo .. lo + g - 1, laid out as im2col gives them, onto channels-last maps
+    dmaps (B, H, W, C) in place: the adjoint of im2col. Each offset adds one
+    (B, oh, ow, C) slice of contiguous channel runs.
     """
-    b, c, h, w = in_shape
-    oh, ow = grid
-    dz = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
-    dp = dpatches.reshape(b, oh, ow, kh, kw, c)
-    for i in range(kh):
-        for j in range(kw):
-            dz[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += dp[:, :, :, i, j]
-    dz = dz.transpose(0, 3, 1, 2)
-    if pad:
-        dz = dz[:, :, pad:-pad, pad:-pad]
-    return dz
+    b, h, w, c = dmaps.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    dp = dpatches.reshape(b, oh, ow, -1, c)
+    for n in range(dp.shape[3]):
+        i, j = divmod(lo + n, kw)
+        dmaps[:, i:i + oh * stride:stride, j:j + ow * stride:stride] += dp[:, :, :, n]
 
 
 class _ConvMaps:
     """What a convolution adds to a layer over unit vectors: each output unit
-    projects the im2col patches of z, and outputs are (B, K, oh, ow) maps."""
+    projects the patches of z's channels-last maps, padded, and outputs are
+    (B, K, oh, ow) maps.
+
+    Products are accumulated over groups of kernel offsets (`_groups`), as in
+    the low-memory GEMM convolutions of Anderson et al. 2017: the product is
+    the sum, group by group, of im2col(maps, group) @ W[group], W[group]
+    stacking each offset's (C, K) weight. The kernel gradient contracts each
+    group's patches with s, and the input gradient scatter-adds s @ W[group].T
+    onto the maps through col2im. A caching forward keeps the maps, which cost
+    no copy without padding, since conv and pool outputs are channels-last in
+    memory; no patch matrix outlives its group.
+    """
 
     _WEIGHT_NDIM, _WEIGHT_LAYOUT = 4, "conv weights must be (K, C, kh, kw)"
+
+    def _set_geometry(self, stride, pad):
+        self.stride, self.pad = int(stride), int(pad)
+        if self.stride < 1 or self.pad < 0:
+            raise ConfigError(f"conv stride must be >= 1 and pad >= 0, got {stride} and {pad}")
 
     def _matrix(self):
         return self.w.reshape(self.w.shape[0], -1)
 
-    def _rows(self, z):
-        return im2col(z, self.w.shape[2], self.w.shape[3], self.stride, self.pad)
-
     def _grid(self, z):
-        return _conv_grid(z.shape[-4:], self.w.shape[2], self.w.shape[3], self.stride, self.pad)
+        """(oh, ow), the output grid of a (..., C, H, W) input."""
+        k, c, kh, kw = self.w.shape
+        if z.ndim < 4 or z.shape[-3] != c:
+            raise ShapeError(f"conv input must be (B, {c}, H, W) for weights {self.w.shape}, "
+                             f"got {z.shape}")
+        h, w = z.shape[-2] + 2 * self.pad, z.shape[-1] + 2 * self.pad
+        if h < kh or w < kw:
+            raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
+        return (h - kh) // self.stride + 1, (w - kw) // self.stride + 1
+
+    def _groups(self):
+        """(lo, hi) ranges of the kernel offsets of each group, in order; the
+        size depends on the channel count alone (_GROUP_VALUES)."""
+        c, kh, kw = self.w.shape[1:]
+        size = max(1, (_GROUP_VALUES - 1) // c)
+        return [(lo, min(lo + size, kh * kw)) for lo in range(0, kh * kw, size)]
+
+    def _by_offset(self, m):
+        """m (K, C kh kw), in the kernels' order, with its columns in im2col's
+        order: offset q's (K, C) weight is columns q C .. (q + 1) C - 1."""
+        k, c = self.w.shape[:2]
+        return m.reshape(k, c, -1).transpose(0, 2, 1).reshape(k, -1)
+
+    def _chunks(self, batch, positions):
+        """Slices of a batch, each as many examples as keep one group's
+        patches with a (positions, K) output part and product each within
+        _CHUNK_BYTES, or one: the working set of a chunk's sum."""
+        (k, c), (q0, q1) = self.w.shape[:2], self._groups()[0]
+        step = _chunk_rows(positions * (c * (q1 - q0) + 2 * k))
+        return [slice(lo, lo + step) for lo in range(0, batch, step)]
 
     def _times_w(self, z):
-        # patches of one batch chunk at a time, within _CHUNK_BYTES unless the
-        # chunk is one example; a leading pass axis is folded into the batch.
-        # A stacked matmul multiplies each example's patches on its own, so
-        # every entry has the unchunked product's bits.
-        w, grid = self._matrix(), self._grid(z)
-        lead, z = z.shape[:-3], z.reshape((-1,) + z.shape[-3:])
-        positions = grid[0] * grid[1]
-        out = np.empty((z.shape[0], positions, w.shape[0]))
-        step = _chunk_rows(positions * w.shape[1])
-        for lo in range(0, z.shape[0], step):
-            np.matmul(self._rows(z[lo:lo + step])[0], w.T, out=out[lo:lo + step])
-        return out.reshape(lead + out.shape[1:]), grid
+        # a leading pass axis is folded into the batch. Each chunk sums its
+        # groups' products in order, each a matmul stacked per example, so
+        # every entry has the same bits however the batch is cut
+        grid = self._grid(z)
+        (k, c, kh, kw), p = self.w.shape, self.pad
+        maps = z.reshape((-1,) + z.shape[-3:]).transpose(0, 2, 3, 1)
+        if p:
+            maps = np.pad(maps, ((0, 0), (p, p), (p, p), (0, 0)))
+        wt = self._by_offset(self._matrix()).T.copy()   # (kh kw C, K) blocks of rows
+        out = np.empty((len(maps), grid[0] * grid[1], k))
+        for part in self._chunks(*out.shape[:2]):
+            for q0, q1 in self._groups():
+                patches = im2col(maps[part], kh, kw, self.stride, q0, q1)
+                if q0:
+                    out[part] += patches @ wt[q0 * c:q1 * c]
+                else:
+                    np.matmul(patches, wt[:q1 * c], out=out[part])
+        return out.reshape(z.shape[:-3] + out.shape[1:]), maps, grid
+
+    def _kernel_grad(self, s, cache):
+        # a group's patches of each chunk contracted with its s over the
+        # examples and positions, summed into the group's (g C, K) rows
+        maps, (k, c, kh, kw) = cache["rows"], self.w.shape
+        dw = np.zeros((kh * kw * c, k))
+        for part in self._chunks(*s.shape[:2]):
+            sp = s[part].reshape(-1, k)
+            for q0, q1 in self._groups():
+                patches = im2col(maps[part], kh, kw, self.stride, q0, q1)
+                dw[q0 * c:q1 * c] += patches.reshape(len(sp), -1).T @ sp
+        return dw.reshape(-1, c, k).transpose(2, 1, 0).reshape(k, -1)
+
+    def _input_grad(self, s, v, cache):
+        maps, (k, c, kh, kw), p = cache["rows"], self.w.shape, self.pad
+        vk, dmaps = self._by_offset(v), np.zeros(maps.shape)
+        for part in self._chunks(*s.shape[:2]):
+            for q0, q1 in self._groups():
+                col2im(s[part] @ vk[:, q0 * c:q1 * c], dmaps[part], kh, kw, self.stride, q0)
+        return dmaps[:, p:dmaps.shape[1] - p, p:dmaps.shape[2] - p].transpose(0, 3, 1, 2)
 
     def _to_output(self, flat, grid):
         return np.moveaxis(flat.reshape(flat.shape[:-2] + grid + (-1,)), -1, -3)
@@ -584,21 +645,13 @@ class _ConvMaps:
         b, k = upstream.shape[:2]
         return upstream.transpose(0, 2, 3, 1).reshape(b, -1, k)
 
-    def _input_grad(self, s, v, cache):
-        # permuting v's columns to (kh, kw, C) moves whole output columns of
-        # the product, so each entry is the same dot product as in s @ v
-        k, c, kh, kw = self.w.shape
-        v = v.reshape(k, c, kh, kw).transpose(0, 2, 3, 1).reshape(k, -1)
-        return col2im(s @ v, cache["in_shape"], kh, kw, self.stride, self.pad,
-                      cache["grid"])
-
 
 class NsmConv(_ConvMaps, NsmDense):
     """Stochastic binary convolution; noise drawn once per input pixel.
 
     u_k = conv(w_k, xi * z) + a_k conv(w_k, z) + b_raw_k; the row norm of
     kernel k is the l2 norm over all its entries, so the closed-form firing
-    probability and the backward rule are the dense ones applied to im2col
+    probability and the backward rule are the dense ones applied to the
     patches.
     """
 
@@ -607,8 +660,7 @@ class NsmConv(_ConvMaps, NsmDense):
                  deterministic: bool = False):
         super().__init__(name, w, model, beta=beta, a=a, bias=bias,
                          deterministic=deterministic)
-        self.stride = int(stride)
-        self.pad = int(pad)
+        self._set_geometry(stride, pad)
 
 
 class SigmoidDetConv(_ConvMaps, BaselineDense):
@@ -616,9 +668,7 @@ class SigmoidDetConv(_ConvMaps, BaselineDense):
 
     def __init__(self, name: str, w: np.ndarray, bias=None, stride: int = 1, pad: int = 0):
         super().__init__(name, SIGMOID_DET, w, bias=bias)
-        self.stride = int(stride)
-        self.pad = int(pad)
-
+        self._set_geometry(stride, pad)
 
 class _Plumbing:
     """A layer without parameters: its backward is its input gradient alone."""

@@ -10,9 +10,14 @@ column, and the same digest; it never rewrites these files. Metrics round
 the parameters away, so the digest is what catches a changed last bit.
 
 Rewrite the files only when a change alters the random draws or the
-arithmetic on purpose, and say why in CHANGES.md:
+arithmetic on purpose, and say why in CHANGES.md. Name the cases the change
+is meant to move:
 
-    PYTHONPATH=src python3 tests/golden/regen.py
+    PYTHONPATH=src python3 tests/golden/regen.py cnn-nsm-adam cnn-sigmoid-det-adam
+
+Every case runs. Only the named ones are rewritten (all of them when none
+is named); if any other case's metrics or digest differ from its recorded
+files, the script names it and exits 1, leaving its files as they were.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import sys
 import tempfile
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -126,25 +132,48 @@ def run(case: str, out: str, **overrides) -> str:
     return param_digest(os.path.join(out, "model.ckpt"))
 
 
-def regenerate():
+def regenerate(names) -> list[str]:
+    """Run every case, rewrite the files of the cases in names, and return
+    the other cases whose metrics (ignoring seconds) or digests differ from
+    their recorded files."""
     from nsm.analyze import metrics_equal_excluding_time
 
-    lines = []
+    digests, moved = read_digests() if os.path.exists(DIGEST_FILE) else {}, []
+    keys = []
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             out = os.path.join(tmp, case)
-            digest = run(case, out)
-            got = os.path.join(out, "metrics.csv")
-            golden = os.path.join(GOLDEN_DIR, f"{case}.csv")
-            # an unchanged run keeps its file, recorded seconds and all
-            if not (os.path.exists(golden) and metrics_equal_excluding_time(golden, got)):
-                shutil.copyfile(got, golden)
-            lines.append(f"{case} {digest}\n")
+            got = {case: run(case, out)}
             if CASES[case].get("log_gradients"):
-                lines.append(f"{case}:grads {grads_digest(out)}\n")
+                got[f"{case}:grads"] = grads_digest(out)
+            keys += got
+            metrics = os.path.join(out, "metrics.csv")
+            golden = os.path.join(GOLDEN_DIR, f"{case}.csv")
+            same = os.path.exists(golden) and metrics_equal_excluding_time(golden, metrics)
+            if case in names:
+                if not same:   # an unchanged run keeps its file, recorded seconds and all
+                    shutil.copyfile(metrics, golden)
+                digests.update(got)
+            elif not same or any(digests.get(key) != value for key, value in got.items()):
+                moved.append(case)
     with open(DIGEST_FILE, "w") as f:
-        f.writelines(lines)
+        f.writelines(f"{key} {digests[key]}\n" for key in keys if key in digests)
+    return moved
+
+
+def main(argv=None) -> int:
+    names = list(sys.argv[1:] if argv is None else argv) or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown golden case(s) {', '.join(unknown)}; cases: {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    moved = regenerate(set(names))
+    for case in moved:
+        print(f"golden case {case} differs from its recorded files and was not rewritten",
+              file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(main())

@@ -403,53 +403,122 @@ class TestHeads:
                           [grads["w"], grads["bias"]], h=1e-6) < 1e-8
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def im2col_nchw(z, kh, kw, stride, pad):
+    """(B, C, H, W) -> patches (B, oh*ow, C*kh*kw) in the kernels' (C, kh, kw)
+    order, copied position by position from the padded input: the reference
+    the convolutions are checked against."""
+    zp = np.pad(z, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (zp.shape[2] - kh) // stride + 1, (zp.shape[3] - kw) // stride + 1
+    patches = np.empty((z.shape[0], oh * ow, z.shape[1] * kh * kw))
+    for y in range(oh):
+        for x in range(ow):
+            win = zp[:, :, y * stride:y * stride + kh, x * stride:x * stride + kw]
+            patches[:, y * ow + x] = win.reshape(z.shape[0], -1)
+    return patches, (oh, ow)
+
+
+def channels_last(z, pad=0):
+    """(B, C, H, W) -> the padded channels-last maps (B, H + 2 pad, W + 2 pad, C)."""
+    return np.pad(z.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+
+
 def kernel_major(patches, c, kh, kw):
-    """im2col patches with each feature vector permuted from (C, kh, kw) to
-    (kh, kw, C), the order col2im reads."""
+    """Patches with each feature vector permuted from (C, kh, kw) to
+    (kh, kw, C), the order im2col and col2im use."""
     lead = patches.shape[:-1]
     return np.moveaxis(patches.reshape(lead + (c, kh, kw)), -3, -1).reshape(lead + (-1,))
 
 
+def product_bound(a, b):
+    """How far two float64 evaluations of a @ b may differ, entry by entry,
+    whatever the order of their sums: each is within gamma_n sum |a_i b_i|
+    of the exact value, gamma_n = n u / (1 - n u) with u = eps / 2 and n the
+    length of a dot product, and 2 gamma_n < (n + 1) eps for n u < 1/2."""
+    return (a.shape[-1] + 1) * EPS * (np.abs(a) @ np.abs(b))
+
+
+def assert_within(got, want, bound):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
 class TestIm2col:
+    """im2col gathers an offset group's patches from channels-last maps, and
+    col2im is its adjoint."""
 
     def test_patch_extraction_hand_case(self):
-        # 1x1x3x3 ascending image, 2x2 kernel, stride 1, no pad
-        z = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-        patches, grid = im2col(z, 2, 2, 1, 0)
-        assert grid == (2, 2)
+        # 1x3x3x1 ascending maps, 2x2 kernel, stride 1
+        maps = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
+        patches = im2col(maps, 2, 2, 1)
+        assert patches.shape == (1, 4, 4)
         np.testing.assert_array_equal(patches[0, 0], [0, 1, 3, 4])
         np.testing.assert_array_equal(patches[0, 3], [4, 5, 7, 8])
+        np.testing.assert_array_equal(im2col(maps, 2, 2, 1, 1, 3)[0, 3], [5, 7])
 
-    def test_channel_order_matches_kernel_flatten(self):
-        # feature order (channel, kernel row, kernel col)
-        z = np.stack([np.zeros((2, 2)), np.ones((2, 2))])[None]  # (1,2,2,2)
-        patches, _ = im2col(z, 2, 2, 1, 0)
-        np.testing.assert_array_equal(patches[0, 0],
-                                      [0, 0, 0, 0, 1, 1, 1, 1])
+    def test_offset_order_then_channels(self):
+        # feature order (kernel row, kernel col, channel)
+        maps = np.stack([np.zeros((2, 2)), np.ones((2, 2))], axis=-1)[None]   # (1,2,2,2)
+        np.testing.assert_array_equal(im2col(maps, 2, 2, 1)[0, 0], [0, 1, 0, 1, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (3, 2)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_groups_are_slices_of_the_permuted_reference(self, kh, kw, stride, pad):
+        rng = np.random.default_rng([kh, kw, stride, pad])
+        z = rng.normal(size=(2, 3, 6, 5))
+        want = kernel_major(im2col_nchw(z, kh, kw, stride, pad)[0], 3, kh, kw)
+        maps = channels_last(z, pad)
+        assert_same_bits(im2col(maps, kh, kw, stride), want)
+        for lo in range(kh * kw):
+            for hi in range(lo + 1, kh * kw + 1):
+                assert_same_bits(im2col(maps, kh, kw, stride, lo, hi), want[..., 3 * lo:3 * hi])
 
     def test_col2im_is_adjoint(self):
-        # <im2col(x) in (kh, kw, C) order, y> = <x, col2im(y)> for random x, y
+        # <im2col(x) of a group, y> = <x, col2im(y)> for random x, y
         rng = np.random.default_rng(27)
-        x = rng.normal(size=(2, 3, 6, 5))
-        for stride, pad in [(1, 0), (1, 1), (2, 0), (2, 1)]:
-            patches, grid = im2col(x, 3, 3, stride, pad)
-            y = rng.normal(size=patches.shape)
-            lhs = float(np.sum(kernel_major(patches, 3, 3, 3) * y))
-            xi = col2im(y, x.shape, 3, 3, stride, pad, grid)
-            rhs = float(np.sum(x * xi))
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        x = rng.normal(size=(2, 6, 5, 3))
+        for stride in (1, 2):
+            for lo, hi in [(0, 9), (0, 4), (4, 5), (5, 9)]:
+                patches = im2col(x, 3, 3, stride, lo, hi)
+                y = rng.normal(size=patches.shape)
+                xi = np.zeros_like(x)
+                col2im(y, xi, 3, 3, stride, lo)
+                np.testing.assert_allclose(np.sum(patches * y), np.sum(x * xi), rtol=1e-12)
 
     def test_bad_input_shapes(self):
+        layer = mk_conv(c=4, ksize=3)
         with pytest.raises(ShapeError):
-            im2col(np.zeros((3, 4, 4)), 2, 2, 1, 0)
+            layer.forward(np.zeros((4, 4, 4)), MODE_MEAN)
         with pytest.raises(ShapeError):
-            im2col(np.zeros((1, 1, 2, 2)), 3, 3, 1, 0)
+            layer.forward(np.zeros((1, 4, 2, 2)), MODE_MEAN)
 
 
 def mk_conv(seed=0, k=3, c=2, ksize=3, **kw):
     rng = np.random.default_rng(seed)
     return NsmConv(f"c{seed}", rng.normal(size=(k, c, ksize, ksize)),
                    NoiseModel.bernoulli(0.5), **kw)
+
+
+def pixel_loop(layer, z):
+    """(x, product, bound) of a conv layer, (B, K, oh, ow) each, one output
+    pixel at a time: x = beta (w . patch)/||w|| + bias, the product w . patch,
+    and its product_bound."""
+    kh, kw, stride, pad = *layer.w.shape[2:], layer.stride, layer.pad
+    zp = np.pad(z, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (zp.shape[2] - kh) // stride + 1, (zp.shape[3] - kw) // stride + 1
+    wf = layer.w.reshape(layer.w.shape[0], -1)
+    norms = np.linalg.norm(wf, axis=1)
+    x, product, bound = (np.empty((z.shape[0], wf.shape[0], oh, ow)) for _ in range(3))
+    for b in range(z.shape[0]):
+        for i in range(oh):
+            for j in range(ow):
+                patch = zp[b, :, i * stride:i * stride + kh, j * stride:j * stride + kw].reshape(-1)
+                product[b, :, i, j] = wf @ patch
+                bound[b, :, i, j] = product_bound(patch, wf.T)
+                x[b, :, i, j] = layer.beta * (wf @ patch) / norms + layer.bias
+    return x, product, bound
 
 
 class TestNsmConv:
@@ -459,17 +528,25 @@ class TestNsmConv:
         rng = np.random.default_rng(29)
         z = rng.choice([-1.0, 1.0], size=(2, 2, 5, 5))
         out, _ = layer.forward(z, MODE_MEAN, None)
-        zp = np.pad(z, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        wf = layer.w.reshape(3, -1)
-        norms = np.linalg.norm(wf, axis=1)
-        for b in range(2):
-            for i in range(5):
-                for j in range(5):
-                    patch = zp[b, :, i:i + 3, j:j + 3].reshape(-1)
-                    x = layer.beta * (wf @ patch) / norms + layer.bias
-                    want = 2 * erf_probability(x) - 1
-                    np.testing.assert_allclose(out[b, :, i, j], want,
-                                               atol=1e-12)
+        x = pixel_loop(layer, z)[0]
+        np.testing.assert_allclose(out, 2 * erf_probability(x) - 1, atol=1e-12)
+
+    @pytest.mark.parametrize("stride, pad", [(0, 0), (-1, 0), (1, -1), (0, -1)])
+    def test_bad_stride_or_pad_rejected_when_built(self, stride, pad):
+        w = np.ones((2, 1, 3, 3))
+        with pytest.raises(ConfigError, match="stride"):
+            NsmConv("c", w, NoiseModel.bernoulli(0.5), stride=stride, pad=pad)
+        with pytest.raises(ConfigError, match="stride"):
+            SigmoidDetConv("s", w, stride=stride, pad=pad)
+
+    @pytest.mark.parametrize("mode", [MODE_SAMPLE, MODE_MEAN])
+    def test_channel_count_mismatch_names_both_shapes(self, mode):
+        z = np.ones((2, 3, 5, 5))
+        for layer in (mk_conv(c=2), SigmoidDetConv("s", np.ones((3, 2, 3, 3)))):
+            for shared in (None, {}):
+                with pytest.raises(ShapeError) as err:
+                    layer.forward(z, mode, RngStream(1), shared)
+                assert "(3, 2, 3, 3)" in str(err.value) and "(2, 3, 5, 5)" in str(err.value)
 
     def test_one_by_one_conv_equals_dense_on_channels(self):
         rng = np.random.default_rng(30)
@@ -635,8 +712,10 @@ def assert_close_rel(got, want, rel=1e-12):
 
 
 class TestConvReference:
-    """The conv path against its unfactored formulas: one product per use,
-    an einsum weight gradient and a channels-first col2im."""
+    """The conv path against its unfactored formulas: products of reference
+    patches within product_bound, an einsum weight gradient and a
+    channels-first col2im. The formulas after each product are written out
+    on the layer's own products, bit for bit."""
 
     @pytest.mark.parametrize("model", [NoiseModel.bernoulli(0.5), NoiseModel.gaussian(0.3)],
                              ids=["bernoulli", "gaussian"])
@@ -649,21 +728,25 @@ class TestConvReference:
         z = rng.choice([-1.0, 1.0], size=(3, 3, 7, 6))
         stream = RngStream(8).child(NS_NOISE, stride, pad)
 
-        patches, grid = im2col(z, 3, 3, stride, pad)
+        patches, grid = im2col_nchw(z, 3, 3, stride, pad)
         wf = layer.w.reshape(4, -1)
+        product = layer._times_w(z)[0]
+        assert_within(product, patches @ wf.T, product_bound(patches, wf.T))
         norms = np.sqrt(np.sum(wf * wf, axis=1))
-        t = (patches @ wf.T) / norms
+        t = product / norms
         x = layer.beta * t + layer.bias
         xi = sample_noise(model, z.shape, stream)
-        noisy, _ = im2col(xi * z, 3, 3, stride, pad)
+        noisy_patches, _ = im2col_nchw(xi * z, 3, 3, stride, pad)
+        noisy = layer._times_w(xi * z)[0]
+        assert_within(noisy, noisy_patches @ wf.T, product_bound(noisy_patches, wf.T))
         b_raw = layer.bias * model.scale * norms
-        u = noisy @ wf.T + layer.a * (patches @ wf.T) + b_raw
+        u = noisy + layer.a * product + b_raw
         maps = sign_activation(u).reshape(3, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
 
         out, cache = layer.forward(z, MODE_SAMPLE, stream)
-        np.testing.assert_array_equal(out, maps)
-        np.testing.assert_array_equal(cache["x"], x)
-        np.testing.assert_array_equal(cache["t"], t)
+        assert_same_bits(out, maps)
+        assert_same_bits(cache["x"], x)
+        assert_same_bits(cache["t"], t)
 
         upstream = rng.normal(size=out.shape)
         grads, dz = layer.backward(cache, upstream)
@@ -677,15 +760,22 @@ class TestConvReference:
         assert_close_rel(grads["bias"], np.sum(s, axis=(0, 1)))
         assert_close_rel(dz, col2im_nchw(dpatches, z.shape, 3, 3, stride, pad, grid))
 
+    @pytest.mark.parametrize("groups", [[(0, 9)], [(q, q + 1) for q in range(9)],
+                                        [(0, 4), (4, 8), (8, 9)]], ids=["one", "each", "mixed"])
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
-    def test_col2im_equals_channels_first_loop(self, stride, pad):
+    def test_col2im_equals_channels_first_loop(self, stride, pad, groups):
+        # each offset adds its slice in the same order as the reference, so
+        # every entry gets the same sums, however the offsets are grouped
         rng = np.random.default_rng(43)
         shape = (2, 3, 7, 6)
-        _, grid = im2col(np.zeros(shape), 3, 3, stride, pad)
+        _, grid = im2col_nchw(np.zeros(shape), 3, 3, stride, pad)
         dpatches = rng.normal(size=(2, grid[0] * grid[1], 27))
-        np.testing.assert_array_equal(
-            col2im(kernel_major(dpatches, 3, 3, 3), shape, 3, 3, stride, pad, grid),
-            col2im_nchw(dpatches, shape, 3, 3, stride, pad, grid))
+        ordered = kernel_major(dpatches, 3, 3, 3)
+        dmaps = np.zeros((2, 7 + 2 * pad, 6 + 2 * pad, 3))
+        for lo, hi in groups:
+            col2im(np.ascontiguousarray(ordered[..., 3 * lo:3 * hi]), dmaps, 3, 3, stride, lo)
+        dz = dmaps[:, pad:7 + pad, pad:6 + pad].transpose(0, 3, 1, 2)
+        assert_same_bits(dz, col2im_nchw(dpatches, shape, 3, 3, stride, pad, grid))
 
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
     def test_sigmoid_conv_weight_gradient_matches_einsum(self, stride, pad):
@@ -698,13 +788,15 @@ class TestConvReference:
         grads, _ = layer.backward(cache, upstream)
         p = expit(cache["x"])
         s = upstream.transpose(0, 2, 3, 1).reshape(3, -1, 4) * (p * (1.0 - p))
-        dw = np.einsum("bpk,bpd->kd", s, cache["rows"]).reshape(layer.w.shape)
+        patches, _ = im2col_nchw(z, 3, 3, stride, pad)
+        dw = np.einsum("bpk,bpd->kd", s, patches).reshape(layer.w.shape)
         assert_close_rel(grads["w"], dw)
 
 
 class TestConvInputGradient:
-    """The conv input gradient, made from v with its columns in (kh, kw, C)
-    order, against col2im of s @ v in im2col's (C, kh, kw) order, bit for bit."""
+    """The conv input gradient, made offset group by offset group, against
+    col2im of s @ v in the reference's (C, kh, kw) order, bit for bit: each
+    entry of a group's s @ v is the same dot product as in the whole one."""
 
     @pytest.mark.parametrize("ksize", [1, 3, 5])
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
@@ -737,12 +829,20 @@ class TestConvInputGradient:
             assert_same_bits(dz, col2im_nchw(s @ wf, z.shape, ksize, ksize, stride, pad, grid))
 
 
-class TestConvChunks:
-    """Conv products that no backward reads, formed one batch chunk of patches
-    at a time, against one unchunked im2col product, bit for bit."""
+def chunk_values(layer, z):
+    """Values per example of the working set a conv product's batch chunk is
+    sized by: its first group's patches, an output part and a product."""
+    (k, c), (lo, hi) = layer.w.shape[:2], layer._groups()[0]
+    oh, ow = layer._grid(z)
+    return oh * ow * (c * (hi - lo) + 2 * k)
 
-    # the default budget (every batch here in one chunk), two examples' patches
-    # per chunk, and a budget below one example's patches
+
+class TestConvChunks:
+    """Conv products formed one batch chunk at a time against one unchunked
+    product, bit for bit, and against reference patches within product_bound."""
+
+    # the default budget (every batch here in one chunk), two examples'
+    # working sets per chunk, and a budget below one example's
     @pytest.mark.parametrize("budget, per_chunk", [(None, 5), (2.5, 2), (0.5, 1)])
     @pytest.mark.parametrize("ksize", [1, 3, 5])
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
@@ -754,27 +854,33 @@ class TestConvChunks:
                         a=0.2 * rng.normal(size=4), bias=0.1 * rng.normal(size=4),
                         stride=stride, pad=pad)
         wf = layer.w.reshape(4, -1)
-        _, grid = im2col(np.zeros((1, 3, 7, 6)), ksize, ksize, stride, pad)
-        example = grid[0] * grid[1] * wf.shape[1]   # one example's patch values
-        if budget is not None:
-            monkeypatch.setattr(layers, "_CHUNK_BYTES", int(budget * 8 * example))
-        assert min(_chunk_rows(example), 5) == per_chunk
+        example = chunk_values(layer, np.zeros((1, 3, 7, 6)))
         norms = np.sqrt(np.sum(wf * wf, axis=1))
         b_raw = layer.bias * model.scale * norms
         # one chunk, several, and a short last one
         for b in (1, 2, 4, 5):
             z = rng.choice([-1.0, 1.0], size=(b, 3, 7, 6))
-            patches, want_grid = im2col(z, ksize, ksize, stride, pad)
-            got, got_grid = layer._times_w(z)
-            assert got_grid == want_grid == layer._grid(z)
-            assert_same_bits(got, patches @ wf.T)
-
-            # the sampled output by the unchunked formula
             stream = RngStream(9).child(NS_NOISE, b)
-            noisy, _ = im2col(sample_noise(model, z.shape, stream) * z, ksize, ksize, stride, pad)
-            u = noisy @ wf.T
-            u += (patches @ wf.T) * layer.a
+            xi = sample_noise(model, z.shape, stream)
+            monkeypatch.setattr(layers, "_CHUNK_BYTES", 1 << 30)
+            whole, noisy = layer._times_w(z)[0], layer._times_w(xi * z)[0]
+            if budget is not None:
+                monkeypatch.setattr(layers, "_CHUNK_BYTES", int(budget * 8 * example))
+            else:
+                monkeypatch.undo()
+            assert min(_chunk_rows(example), 5) == per_chunk
+            patches, want_grid = im2col_nchw(z, ksize, ksize, stride, pad)
+            got, maps, got_grid = layer._times_w(z)
+            assert got_grid == want_grid == layer._grid(z)
+            assert_same_bits(maps, channels_last(z, pad))
+            assert_same_bits(got, whole)
+            assert_within(got, patches @ wf.T, product_bound(patches, wf.T))
+
+            # the sampled output by the formula on the unchunked products
+            u = noisy
+            u += whole * layer.a
             u += b_raw
+            grid = want_grid
             want = sign_activation(u).reshape(b, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
             assert_same_bits(layer.forward(z, MODE_SAMPLE, stream, {})[0], want)
             assert_same_bits(layer.forward(z, MODE_SAMPLE, stream)[0], want)
@@ -789,21 +895,125 @@ class TestConvChunks:
                  SigmoidDetConv("sig", kernels, pad=1)]
         z = rng.choice([-1.0, 1.0], size=(8, 3, 7, 6))
         wants = [layer.forward(z, mode, RngStream(10).child(NS_NOISE))[0] for layer in cases]
-        # three examples' patches (7 x 6 positions, 27 values each) per chunk
-        monkeypatch.setattr(layers, "_CHUNK_BYTES", 3 * 8 * 42 * 27)
+        # three examples' working sets (7 x 6 positions, 27 patch values and
+        # twice 4 outputs each) per chunk
+        assert chunk_values(cases[0], z) == 42 * (27 + 2 * 4)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 3 * 8 * 42 * (27 + 2 * 4))
         seen = []
 
         def recorded(*args, _fn=layers.im2col):
-            patches, grid = _fn(*args)
+            patches = _fn(*args)
             seen.append((patches.shape[0], patches.nbytes))
-            return patches, grid
+            return patches
         monkeypatch.setattr(layers, "im2col", recorded)
         for layer, want in zip(cases, wants):
             seen.clear()
             assert_same_bits(layer.forward(z, mode, RngStream(10).child(NS_NOISE), {})[0], want)
             products = 2 if layer.name == "nsm" and mode == MODE_SAMPLE else 1
-            assert sum(n for n, _ in seen) == products * len(z)
-            assert all(nbytes <= layers._CHUNK_BYTES or n == 1 for n, nbytes in seen)
+            assert [n for n, _ in seen] == [3, 3, 2] * products
+            assert all(nbytes <= layers._CHUNK_BYTES for n, nbytes in seen)
+
+
+# input channel counts on each side of the offset grouping rule: all offsets
+# in one group, several offsets per group (3x3 and 5x5 kernels), one each
+GROUP_CHANNELS = (1, 8, 32)
+KERNELS = ((1, 1), (3, 3), (5, 5), (3, 2))
+
+
+class TestConvOffsetGroups:
+    """Convolutions on each side of the grouping rule: the forward against the
+    per-pixel reference, the backward by finite differences, and the caching,
+    no-cache and sub-chunked forwards against each other, bit for bit."""
+
+    def test_rule_depends_on_channels_alone(self):
+        sizes = {c: [len(range(*g)) for g in mk_conv(c=c, ksize=5)._groups()]
+                 for c in GROUP_CHANNELS + (6, 16, 31, 64)}
+        assert sizes == {1: [25], 6: [10, 10, 5], 8: [7, 7, 7, 4], 16: [3] * 8 + [1],
+                         31: [2] * 12 + [1], 32: [1] * 25, 64: [1] * 25}
+
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: f"{k[0]}x{k[1]}")
+    @pytest.mark.parametrize("c", GROUP_CHANNELS)
+    def test_forward_backward_and_chunks(self, c, kernel, stride, pad, monkeypatch):
+        rng = np.random.default_rng([c, *kernel, stride, pad])
+        k = 3
+        layer = NsmConv("c", rng.normal(size=(k, c) + kernel), NoiseModel.gaussian(0.5),
+                        beta=rng.uniform(0.5, 1.5, k), bias=0.2 * rng.normal(size=k),
+                        stride=stride, pad=pad)
+        z = rng.choice([-1.0, 1.0], size=(3, c, 6, 5))
+        offsets = kernel[0] * kernel[1]
+        size = {1: offsets, 8: min(7, offsets), 32: 1}[c]
+        assert layer._groups() == [(lo, min(lo + size, offsets)) for lo in range(0, offsets, size)]
+
+        x, product, bound = pixel_loop(layer, z)
+        got = layer._to_output(layer._times_w(z)[0], x.shape[2:])
+        assert_within(got, product, bound)
+        out, _ = layer.forward(z, MODE_MEAN, None)
+        np.testing.assert_allclose(out, 2 * erf_probability(x) - 1, atol=1e-12)
+
+        stream = RngStream(c).child(NS_NOISE, stride, pad)
+        want, cache = layer.forward(z, MODE_SAMPLE, stream)
+        upstream = rng.normal(size=want.shape)
+        dz = layer.backward(cache, upstream)[1]
+        assert_same_bits(layer.forward(z, MODE_SAMPLE, stream, {})[0], want)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 8)   # one example a chunk
+        assert_same_bits(layer.forward(z, MODE_SAMPLE, stream, {})[0], want)
+        chunked, chunked_cache = layer.forward(z, MODE_SAMPLE, stream)
+        assert_same_bits(chunked, want)
+        assert_same_bits(chunked_cache["x"], cache["x"])
+        assert_same_bits(layer.backward(chunked_cache, upstream)[1], dz)
+
+        # the gradients summed over one-example chunks, by finite differences
+        _, cache = layer.forward(z, MODE_MEAN, None)
+        grads, dz = layer.backward(cache, upstream)
+
+        def loss():
+            return float(np.sum(upstream * layer.forward(z, MODE_MEAN, None)[0]))
+
+        keys = ("w", "beta", "bias")
+        assert fd_against(loss, [getattr(layer, key) for key in keys],
+                          [grads[key] for key in keys], sample=12) <= 1e-6
+        assert fd_against(loss, [z], [dz], sample=12) <= 1e-6
+
+
+class TestConvFiringLaw:
+    """NsmConv's sampled firing rate at the conv fan-ins of the presets:
+    25 (cnn-mnist conv0, 5x5x1) and 54 (allcnn-dvs conv0, 3x3x6).
+
+    The input is one patch, so each example is one independent draw of every
+    unit. The sampled rate must lie within the Berry-Esseen bound for
+    non-identical summands, 0.56 sum(rho) / sigma^3 (Shevtsova 2010), plus
+    the half-width of the binomial 1 - 1e-9 interval of the draw count at
+    P = 1/2, of the closed form; both are fixed before any run. The bound is
+    0.13 to 0.24 at these fan-ins, far above the central limit's own error
+    (0.004 at fan-in 25 and p = 1/2, measured with 200,000 draws), so it
+    catches a wrong firing law, not that error. With Gaussian noise the sum
+    is exactly normal, so only the binomial term, 0.022, is left."""
+
+    @pytest.mark.parametrize("model", [NoiseModel.bernoulli(0.5), NoiseModel.bernoulli(0.3),
+                                       NoiseModel.gaussian(0.5)],
+                             ids=["bernoulli-0.5", "bernoulli-0.3", "gaussian"])
+    @pytest.mark.parametrize("c, ksize", [(1, 5), (6, 3)], ids=["fan-in-25", "fan-in-54"])
+    def test_sampled_rate_within_berry_esseen(self, c, ksize, model):
+        rng = np.random.default_rng([c, ksize, int(10 * model.param)])
+        units, draws = 4, 20000
+        w = rng.normal(size=(units, c, ksize, ksize))
+        signs = rng.choice([-1.0, 1.0], size=(2, units))
+        layer = NsmConv("c", w, model, a=signs[0] * rng.uniform(0.1, 0.4, units),
+                        bias=signs[1] * rng.uniform(0.05, 0.3, units))
+        z = rng.choice([-1.0, 1.0], size=(1, c, ksize, ksize))
+        closed = (layer.forward(z, MODE_MEAN, None)[0].reshape(units) + 1.0) / 2.0
+        out, _ = layer.forward(np.repeat(z, draws, axis=0), MODE_SAMPLE,
+                               RngStream(11).child(NS_NOISE, c))
+        sampled = np.mean(out.reshape(draws, units) > 0, axis=0)
+
+        binomial = (binom.interval(1.0 - 1e-9, draws, 0.5)[1] - draws / 2) / draws
+        clt = 0.0
+        if model.kind == "bernoulli":
+            p, wz = model.param, np.abs(w * z).reshape(units, -1)
+            rho = np.sum(wz ** 3, axis=1) * p * (1 - p) * (p * p + (1 - p) ** 2)
+            clt = 0.56 * rho / np.sqrt(p * (1 - p) * np.sum(wz ** 2, axis=1)) ** 3
+        assert np.all(np.abs(sampled - closed) <= clt + binomial)
 
 
 def baseline_reference(kind, w, bias, g, z, mode, stream, upstream):
@@ -871,19 +1081,26 @@ class TestBaselineTable:
 
     @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
     def test_sigmoid_conv(self, stride, pad):
+        # written out on the layer's own product, which matches the reference
+        # patches within product_bound; its weight gradient sums over the
+        # batch in its own order, so it is held to the same kind of bound
         rng = np.random.default_rng([stride, pad])
         wts, bias = rng.normal(size=(4, 3, 3, 3)), 0.1 * rng.normal(size=4)
         z = rng.normal(size=(2, 3, 7, 6))
-        patches, grid = im2col(z, 3, 3, stride, pad)
+        layer = SigmoidDetConv("c", wts, bias=bias, stride=stride, pad=pad)
+        patches, grid = im2col_nchw(z, 3, 3, stride, pad)
         wf = wts.reshape(4, -1)
-        p = expit(patches @ wf.T + bias)
+        product = layer._times_w(z)[0]
+        assert_within(product, patches @ wf.T, product_bound(patches, wf.T))
+        p = expit(product + bias)
         out = p.reshape(2, grid[0], grid[1], 4).transpose(0, 3, 1, 2)
         upstream = rng.normal(size=out.shape)
         s = upstream.transpose(0, 2, 3, 1).reshape(2, -1, 4) * (p * (1.0 - p))
-        grads = {"w": (s.reshape(-1, 4).T @ patches.reshape(-1, 27)).reshape(wts.shape),
-                 "bias": np.sum(s, axis=(0, 1))}
+        s2, rows = s.reshape(-1, 4).T, patches.reshape(-1, 27)
+        dw = layer.backward(layer.forward(z, MODE_MEAN)[1], upstream)[0]["w"]
+        assert_within(dw.reshape(4, -1), s2 @ rows, product_bound(s2, rows))
+        grads = {"w": dw, "bias": np.sum(s, axis=(0, 1))}
         dz = col2im_nchw(s @ wf, z.shape, 3, 3, stride, pad, grid)
-        layer = SigmoidDetConv("c", wts, bias=bias, stride=stride, pad=pad)
         assert_layer_bits(layer, z, MODE_MEAN, out, grads, dz, upstream, None)
 
 

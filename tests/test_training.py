@@ -496,10 +496,10 @@ class TestSharedPasses:
         x = np.random.default_rng(31).choice([-1.0, 1.0], size=(23, 20))
         calls = Counter()
         for layer in net.layers:
-            def counted(z, _fn=layer._rows, _name=layer.name):
+            def counted(z, _fn=layer._times_w, _name=layer.name):
                 calls[_name] += 1
                 return _fn(z)
-            layer._rows = counted
+            layer._times_w = counted
         mc, batches = 4, 3
         evaluate_mc(net, x, np.zeros(23, dtype=np.int64), mc, RngStream(31), 10)
         # groups as in test_layer_forwards_per_batch: pass 0 alone, then one per batch
@@ -564,10 +564,23 @@ class TestSharedPasses:
             assert_same_bits(got[name], want[name])
 
 
+def count_products(net, calls):
+    """Count each weight layer's products (_times_w calls) by layer name."""
+    for layer in net.layers:
+        if hasattr(layer, "_times_w"):
+            def counted(z, _fn=layer._times_w, _name=layer.name):
+                calls[_name] += 1
+                return _fn(z)
+            layer._times_w = counted
+
+
 class TestTracedCallSites:
     """The benchmark's tracer replaces layers.im2col, layers.col2im and
     autodiff.reparam_grads by name; a cnn-mnist step must reach them there,
-    or the traced per-layer figures silently read 0."""
+    or the traced per-layer figures silently read 0. A conv makes one im2col
+    per offset group, batch chunk and product it forms or contracts: here
+    every batch is one chunk, conv0 (one channel) has one group of its 25
+    offsets and conv1 (32 channels) 25 groups of one."""
 
     def test_cnn_step_calls_each_patch_point(self, monkeypatch):
         calls = Counter()
@@ -584,8 +597,10 @@ class TestTracedCallSites:
         train_batch(state, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
                     rng.integers(0, 10, size=4))
         normalized = sum(isinstance(l, (NsmDense, NormalizedHead)) for l in net.layers)
-        # two patch sets per conv forward (z and xi * z); conv0 makes no input gradient
-        assert calls == {"im2col": 4, "col2im": 1, "reparam_grads": normalized}
+        # per conv group: two products (z and xi * z) and the kernel gradient;
+        # conv0 makes no input gradient, conv1 one col2im per group
+        assert [len(net.layers[i]._groups()) for i in (0, 2)] == [1, 25]
+        assert calls == {"im2col": 3 * (1 + 25), "col2im": 25, "reparam_grads": normalized}
         assert normalized == 4
 
     @staticmethod
@@ -601,29 +616,27 @@ class TestTracedCallSites:
         calls = Counter()
         self.count_im2col(monkeypatch, calls)
         net = build_network(parse_preset("cnn-mnist"), "nsm", NoiseModel.bernoulli(0.5), seed=1)
+        count_products(net, calls)
         batch = np.random.default_rng(53).choice([-1.0, 1.0], size=(4, 1, 28, 28))
         data_dependent_init(net, batch, RngStream(1).child(NS_INIT, 101))
-        # per conv: the init's projection, then only the noisy patches
-        assert calls == {"im2col": 4}
+        # per noisy layer: the init's projection, then only the noisy product
+        assert calls == {"im2col": 2 * (1 + 25), "conv0": 2, "conv1": 2,
+                         "dense2": 2, "head": 1}
 
     # a layer without noise takes the init's projection too: every layer forms
-    # its rows once
-    @pytest.mark.parametrize("model, preset, convs", [("binary-erf", "cnn-mnist", 2),
-                                                      ("wnorm-binary-det", "mlp-20-16-10-4", 0)])
-    def test_init_projects_each_layer_once(self, model, preset, convs, monkeypatch):
+    # its product once
+    @pytest.mark.parametrize("model, preset, groups", [("binary-erf", "cnn-mnist", 1 + 25),
+                                                       ("wnorm-binary-det", "mlp-20-16-10-4", 0)])
+    def test_init_projects_each_layer_once(self, model, preset, groups, monkeypatch):
         calls = Counter()
         self.count_im2col(monkeypatch, calls)
         net = build_small_net(model, preset, seed=1)
-        units = [layer for layer in net.layers if hasattr(layer, "_rows")]
-        for layer in units:
-            def counted(z, _fn=layer._rows, _name=layer.name):
-                calls[_name] += 1
-                return _fn(z)
-            layer._rows = counted
+        units = [layer for layer in net.layers if hasattr(layer, "_times_w")]
+        count_products(net, calls)
         batch = np.random.default_rng(55).choice([-1.0, 1.0], size=(4,) + net.input_shape)
         data_dependent_init(net, batch, RngStream(1).child(NS_INIT, 101))
-        assert calls == Counter({"im2col": convs, **{layer.name: 1 for layer in units}})
-        assert len(units) == (4 if convs else 3)
+        assert calls == Counter({"im2col": groups, **{layer.name: 1 for layer in units}})
+        assert len(units) == (4 if groups else 3)
 
     def test_cnn_mc_eval_calls_each_patch_point(self, monkeypatch):
         calls = Counter()
@@ -634,6 +647,8 @@ class TestTracedCallSites:
                 calls[_name] += 1
                 return _fn(*args)
             layer.forward = counted
+        products = Counter()
+        count_products(net, products)
         rng = np.random.default_rng(54)
         evaluate_mc(net, rng.choice([-1.0, 1.0], size=(4, 1, 28, 28)),
                     rng.integers(0, 10, size=4), 3, RngStream(1).child(NS_EVAL), batch_size=4)
@@ -645,15 +660,19 @@ class TestTracedCallSites:
         # conv0's output of 32 x 24 x 24 per example allows 14
         assert layers._chunk_rows(32 * 24 * 24) == 14
         prefix = net._spatial_end()
-        # conv0's patches of z once per sub-chunk, its noisy patches once per
-        # pass and sub-chunk: 2 + 2 for pass 0, 1 + 2 for the group; conv1's
-        # product and noisy patches once per pass and sub-chunk, each sub-chunk
-        # within one patch chunk of 5 examples: 2 x 2 for pass 0, 2 x 2 more
-        assert layers._chunk_rows(8 * 8 * 32 * 25) == 5
-        assert calls == {"im2col": (2 + 2) + (1 + 2) + 2 * 2 + 2 * 2,
-                         **{layer.name: 4 if idx < prefix else 2
-                            for idx, layer in enumerate(net.layers)}}
+        assert calls == {"im2col": 207, **{layer.name: 4 if idx < prefix else 2
+                                           for idx, layer in enumerate(net.layers)}}
         assert prefix == 5
+        # conv0's product of z once per sub-chunk, its noisy product once per
+        # pass and sub-chunk: 2 + 2 for pass 0, 1 + 2 for the group; conv1's
+        # product and noisy product once per pass and sub-chunk: 2 x 2 for
+        # pass 0, 2 x 2 more. Each within one batch chunk (conv0 takes 5
+        # examples a chunk, conv1 25), so one im2col per group. dense2 forms
+        # both its products once per group, the head one
+        assert products == {"conv0": (2 + 2) + (1 + 2), "conv1": 2 * 2 + 2 * 2,
+                            "dense2": 2 * 2, "head": 2}
+        assert [layers._chunk_rows(576 * (25 + 64)), layers._chunk_rows(64 * (32 + 128))] == [5, 25]
+        assert calls["im2col"] == products["conv0"] * 1 + products["conv1"] * 25
 
     def test_cnn_mc_eval_peaks_below_forward(self):
         net = build_small_net("nsm", "cnn-mnist", seed=21)
